@@ -19,8 +19,7 @@ import sys
 
 import numpy as np
 
-from spdconn import SimConfig, TimeSeries, spd_sqrtm
-from spdconn.simulate import _simulate_patients, sample_population
+from spdconn import SimConfig, sample_population, simulate_patients
 
 
 def write_csv(path, names, values):
@@ -61,8 +60,7 @@ def main():
     names = [f"roi{k:02d}" for k in range(args.n)]
 
     controls, _ = sample_population(cfg, rng=rng)
-    root, _ = spd_sqrtm(cfg.group_matrix())
-    patients, labels, _ = _simulate_patients(cfg, root, rng)
+    patients, labels, _ = simulate_patients(cfg, rng)
 
     for k, cov in enumerate(controls):
         write_csv(

@@ -17,8 +17,12 @@ import sys
 
 import numpy as np
 
-from spdconn import SimConfig, leave_one_out_scores, sample_population, spd_sqrtm
-from spdconn.simulate import _simulate_patients
+from spdconn import (
+    SimConfig,
+    leave_one_out_scores,
+    sample_population,
+    simulate_patients,
+)
 
 
 def main():
@@ -43,10 +47,7 @@ def main():
         n_patients=args.n_patients,
     )
     controls, _ = sample_population(cfg)
-    root, _ = spd_sqrtm(cfg.group_matrix())
-    patients, _, _ = _simulate_patients(
-        cfg, root, np.random.default_rng([args.seed, 1])
-    )
+    patients, _, _ = simulate_patients(cfg, np.random.default_rng([args.seed, 1]))
 
     rows = []
     for parametrization in ("tangent", "flat"):

@@ -6,6 +6,8 @@ differences of single test subjects against a bootstrap null distribution,
 and evaluates detection power on simulated populations.
 """
 
+import types as _types
+
 from .estimators import (
     TimeSeries,
     correlation_matrix,
@@ -48,7 +50,6 @@ from .group import (
     GroupModel,
     fit_from_matrices,
     fit_group_model,
-    flat_group_model,
     frechet_mean,
     leave_one_out_scores,
     log_likelihood,
@@ -73,65 +74,14 @@ from .simulate import (
     roc_experiment,
     sample_population,
     sample_time_series,
+    simulate_patients,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "ConvergenceError",
-    "DegenerateInputError",
-    "DegenerateModelError",
-    "FLAT",
-    "FrechetConfig",
-    "GroupModel",
-    "InvalidInputError",
-    "NearSingularError",
-    "NullDistribution",
-    "NumericRangeError",
-    "PairTest",
-    "RocCurve",
-    "SPD_EIG_FLOOR",
-    "SimConfig",
-    "TANGENT",
-    "TangentVector",
-    "TestReport",
-    "TimeSeries",
-    "auc",
-    "build_null",
-    "clip_spd",
-    "correlation_matrix",
-    "default_group_correlation",
-    "empirical_pvalue",
-    "fit_from_matrices",
-    "fit_group_model",
-    "flat_group_model",
-    "frechet_mean",
-    "geodesic_distance",
-    "inject_differences",
-    "leave_one_out_scores",
-    "ledoit_wolf",
-    "log_likelihood",
-    "pair_count",
-    "reconstruct",
-    "residual",
-    "residualize_confounds",
-    "roc_experiment",
-    "sample_covariance",
-    "sample_population",
-    "sample_time_series",
-    "spd_expm",
-    "spd_logm",
-    "spd_sqrtm",
-    "symmetrize",
-    "t_statistic",
-    "tangent_inverse_map",
-    "tangent_map",
-    "test_patient",
-    "to_correlation",
-    "tril_pairs",
-    "validate_spd",
-    "vec_dim",
-    "vec_embed",
-    "vec_unembed",
-]
+# The public API is every name imported above.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

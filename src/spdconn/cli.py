@@ -4,6 +4,7 @@ likelihoods, and run simulated detection experiments."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -106,6 +107,10 @@ def cmd_likelihood(args) -> int:
         raise InvalidInputError("either --model or --loo is required")
     if not args.subjects:
         raise InvalidInputError("no subject files given")
+    if args.parametrization == FLAT:
+        raise InvalidInputError(
+            "a saved model is always tangent; --parametrization flat needs --loo"
+        )
     model = sio.read_model(args.model)
     subjects = _load_series(args.subjects)
     print("subject\tlog_likelihood")
@@ -115,21 +120,7 @@ def cmd_likelihood(args) -> int:
     return 0
 
 
-_SIM_KEYS = frozenset(
-    (
-        "n",
-        "n_controls",
-        "sigma",
-        "d_sigma",
-        "k_diffs",
-        "sigma_star",
-        "seed",
-        "m",
-        "parametrization",
-        "n_patients",
-        "max_clip_fraction",
-    )
-)
+_SIM_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 
 
 def _simulate_config(args) -> dict:
@@ -176,33 +167,10 @@ def cmd_simulate(args) -> int:
                 **base,
             )
             curve = roc_experiment(cfg)
-            for k in range(len(curve.thresholds)):
-                rows.append(
-                    (
-                        "point",
-                        parametrization,
-                        repr(float(d_sigma)),
-                        repr(cfg.sigma),
-                        cfg.n_controls,
-                        repr(float(curve.thresholds[k])),
-                        repr(float(curve.fpr[k])),
-                        repr(float(curve.tpr[k])),
-                        "",
-                    )
-                )
-            rows.append(
-                (
-                    "auc",
-                    parametrization,
-                    repr(float(d_sigma)),
-                    repr(cfg.sigma),
-                    cfg.n_controls,
-                    "",
-                    "",
-                    "",
-                    repr(float(curve.auc)),
-                )
-            )
+            key = (parametrization, repr(float(d_sigma)), repr(cfg.sigma), cfg.n_controls)
+            for point in zip(curve.thresholds, curve.fpr, curve.tpr):
+                rows.append(("point", *key, *(repr(float(x)) for x in point), ""))
+            rows.append(("auc", *key, "", "", "", repr(float(curve.auc))))
             print(
                 f"parametrization={parametrization} d_sigma={d_sigma} "
                 f"auc={curve.auc:.4f}"

@@ -148,9 +148,10 @@ def as_correlation_matrices(subjects) -> tuple[np.ndarray, tuple[str, ...] | Non
     """Stack per-subject correlation matrices from mixed inputs.
 
     ``subjects`` may be `TimeSeries` objects (estimated through the
-    pipeline) or precomputed SPD matrices (validated and used as-is, e.g.
-    simulation draws).  Returns the ``(S, n, n)`` stack and region names
-    when the inputs carry them.
+    pipeline) or precomputed SPD matrices (used as-is, e.g. simulation
+    draws).  Every matrix is validated with :func:`validate_spd`, so the
+    returned ``(S, n, n)`` stack needs no further check.  Also returns the
+    region names when the inputs carry them.
     """
     subjects = list(subjects)
     if not subjects:
@@ -159,7 +160,7 @@ def as_correlation_matrices(subjects) -> tuple[np.ndarray, tuple[str, ...] | Non
     names = None
     for s in subjects:
         if isinstance(s, TimeSeries):
-            mats.append(correlation_matrix(s))
+            mats.append(validate_spd(correlation_matrix(s)))
             if names is None:
                 names = s.region_names
             elif names != s.region_names:

@@ -10,7 +10,7 @@ shape ``(..., n, n)`` and broadcast over the leading axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,40 +56,70 @@ def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
     _check_finite(m)
     m = symmetrize(m)
     eigvals = np.linalg.eigvalsh(m)
-    lo, hi = eigvals.min(), eigvals.max()
-    if hi <= 0 or lo <= floor * hi:
+    lo, hi = eigvals.min(axis=-1), eigvals.max(axis=-1)
+    bad = (hi <= 0) | (lo <= floor * hi)
+    if np.any(bad):
+        k = np.argmax(bad)
         raise NearSingularError(
             f"matrix is not positive definite within the eigenvalue floor "
-            f"(min {lo:.3e}, max {hi:.3e}, floor {floor:.1e} * max)"
+            f"(min {lo.flat[k]:.3e}, max {hi.flat[k]:.3e}, floor {floor:.1e} * max)"
         )
     return m
 
 
-def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool]:
+def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool | np.ndarray]:
     """Project ``m`` onto the SPD cone by flooring its eigenvalues.
 
     Used on simulation reconstruction paths, where a large tangent
     perturbation can leave the cone.  Eigenvalues are raised to twice the
     validation floor so clipped outputs pass :func:`validate_spd` despite
     rounding.  Returns the (possibly) clipped matrix and a flag telling
-    whether any eigenvalue was raised.
+    whether any eigenvalue was raised; a stack is clipped matrix by matrix
+    and gets one flag per matrix.
     """
     m = symmetrize(m)
     _check_finite(m)
     eigvals, eigvecs = np.linalg.eigh(m)
-    hi = eigvals.max()
-    if hi <= 0:
+    hi = eigvals.max(axis=-1, keepdims=True)
+    if np.any(hi <= 0):
         raise NearSingularError("matrix has no positive eigenvalues; cannot clip")
     lo = 2.0 * floor * hi
-    if eigvals.min() > lo:
-        return m, False
-    clipped = (eigvecs * np.maximum(eigvals, lo)) @ eigvecs.T
-    return symmetrize(clipped), True
+    clipped = eigvals.min(axis=-1) <= lo[..., 0]
+    if np.any(clipped):
+        raised = _rebuild(eigvecs, np.maximum(eigvals, lo))
+        m = np.where(clipped[..., None, None], raised, m)
+    return m, clipped if clipped.ndim else bool(clipped)
 
 
-def _eigh_apply(m, fn) -> np.ndarray:
-    e, v = np.linalg.eigh(m)
-    return symmetrize(v @ (fn(e)[..., :, None] * np.swapaxes(v, -1, -2)))
+def _rebuild(eigvecs, values) -> np.ndarray:
+    return symmetrize(eigvecs @ (values[..., :, None] * np.swapaxes(eigvecs, -1, -2)))
+
+
+def eig_apply(stack, *fns):
+    """Apply functions of the eigenvalues to symmetric matrices.
+
+    One ``eigh`` call serves every function in ``fns``: each yields
+    ``v @ diag(fn(e)) @ v.T`` for the eigendecomposition ``(e, v)`` of each
+    matrix of ``stack`` ``(..., n, n)``.  Returns one array for one
+    function, else a tuple in the order of ``fns``.  A function may raise to
+    reject the eigenvalues it is given.  The input is not validated.
+    """
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    out = tuple(_rebuild(eigvecs, fn(eigvals)) for fn in fns)
+    return out[0] if len(out) == 1 else out
+
+
+def whiten(inv_root, stack) -> np.ndarray:
+    """``inv_root @ stack @ inv_root``, symmetrized; broadcasts over ``stack``."""
+    return symmetrize(inv_root @ stack @ inv_root)
+
+
+def _exp(eigvals):
+    if eigvals.max() > _EXP_MAX:
+        raise NumericRangeError(
+            f"matrix exponential overflows float64 (max eigenvalue {eigvals.max():.3e})"
+        )
+    return np.exp(eigvals)
 
 
 def spd_logm(a) -> np.ndarray:
@@ -97,8 +127,7 @@ def spd_logm(a) -> np.ndarray:
 
     Inverse of :func:`spd_expm` on the SPD cone.
     """
-    a = validate_spd(a)
-    return _eigh_apply(a, np.log)
+    return eig_apply(validate_spd(a), np.log)
 
 
 def spd_expm(w) -> np.ndarray:
@@ -110,13 +139,7 @@ def spd_expm(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     _check_square(w)
     _check_finite(w)
-    w = symmetrize(w)
-    e, v = np.linalg.eigh(w)
-    if e.max() > _EXP_MAX:
-        raise NumericRangeError(
-            f"matrix exponential overflows float64 (max eigenvalue {e.max():.3e})"
-        )
-    return symmetrize(v @ (np.exp(e)[..., :, None] * np.swapaxes(v, -1, -2)))
+    return eig_apply(symmetrize(w), _exp)
 
 
 def spd_sqrtm(a) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +151,7 @@ def spd_sqrtm(a) -> tuple[np.ndarray, np.ndarray]:
         SPD matrices with ``root @ root == a`` and
         ``inv_root @ a @ inv_root == identity``.
     """
-    a = validate_spd(a)
-    e, v = np.linalg.eigh(a)
-    s = np.sqrt(e)
-    root = symmetrize(v @ (s[..., :, None] * np.swapaxes(v, -1, -2)))
-    inv_root = symmetrize(v @ ((1.0 / s)[..., :, None] * np.swapaxes(v, -1, -2)))
-    return root, inv_root
+    return eig_apply(validate_spd(a), np.sqrt, lambda e: 1.0 / np.sqrt(e))
 
 
 def vec_dim(n: int) -> int:
@@ -166,9 +184,21 @@ def vec_embed(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     _check_square(w)
     n = w.shape[-1]
-    i, j = tril_pairs(n)
-    diag = np.arange(n)
-    return np.concatenate([_SQRT2 * w[..., i, j], w[..., diag, diag]], axis=-1)
+    index, scale = _embedding(n)
+    return w.reshape(w.shape[:-2] + (n * n,))[..., index] * scale
+
+
+@cache
+def _embedding(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the :func:`vec_embed` coordinates in a flattened
+    ``(n, n)`` matrix, in the pair order of :func:`tril_pairs`, and their
+    scale factors.  Calls no public function, so the calls that
+    ``perfbench/layertrace.py`` counts do not depend on a warm cache."""
+    i, j = np.tril_indices(n, -1)
+    index = np.concatenate([i * n + j, np.arange(n) * (n + 1)])
+    scale = np.repeat([_SQRT2, 1.0], [len(i), n])
+    index.flags.writeable = scale.flags.writeable = False  # shared by every caller
+    return index, scale
 
 
 def vec_unembed(v, n: int) -> np.ndarray:
@@ -219,10 +249,6 @@ class TangentVector:
         return float(np.linalg.norm(self.matrix))
 
 
-def _whiten(inv_root, target) -> np.ndarray:
-    return symmetrize(inv_root @ target @ inv_root)
-
-
 def tangent_map(base, target) -> TangentVector:
     """Map ``target`` to the tangent frame of ``base``.
 
@@ -236,7 +262,7 @@ def tangent_map(base, target) -> TangentVector:
             f"dimension mismatch: base {base.shape} vs target {target.shape}"
         )
     _, inv_root = spd_sqrtm(base)
-    return TangentVector(spd_logm(_whiten(inv_root, target)))
+    return TangentVector(spd_logm(whiten(inv_root, target)))
 
 
 def tangent_inverse_map(base, w) -> np.ndarray:

@@ -9,6 +9,7 @@ entrywise residuals) is kept as the baseline comparator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,12 +17,14 @@ from .estimators import as_correlation_matrices
 from .exceptions import ConvergenceError, DegenerateModelError, InvalidInputError
 from .geometry import (
     TangentVector,
+    eig_apply,
     spd_expm,
     spd_sqrtm,
     symmetrize,
     validate_spd,
     vec_dim,
     vec_embed,
+    whiten,
 )
 
 TANGENT = "tangent"
@@ -49,41 +52,47 @@ class FrechetInfo:
     gradient_norm: float
 
 
-def _check_parametrization(parametrization: str):
+def check_parametrization(parametrization: str):
+    """Raise ``InvalidInputError`` unless the name is one of ``PARAMETRIZATIONS``."""
     if parametrization not in PARAMETRIZATIONS:
         raise InvalidInputError(
             f"unknown parametrization {parametrization!r}; expected one of {PARAMETRIZATIONS}"
         )
 
 
-def _batch_logm(mats: np.ndarray) -> np.ndarray:
-    e, v = np.linalg.eigh(mats)
-    return v @ (np.log(e)[..., :, None] * np.swapaxes(v, -1, -2))
-
-
-def _frechet(mats: np.ndarray, config: FrechetConfig) -> tuple[np.ndarray, int, float]:
+def _frechet(mats: np.ndarray, config: FrechetConfig):
+    """Fixed point of the intrinsic mean; returns the mean, its inverse
+    square root, the iteration count and the gradient norm at exit."""
     mean = symmetrize(mats.mean(axis=0))
     gradient_norm = np.inf
-    for iteration in range(config.max_iterations):
-        e, v = np.linalg.eigh(mean)
-        if e.min() <= 0:
+
+    def sqrt_in_cone(eigvals):
+        if eigvals.min() <= 0:
             raise ConvergenceError(
                 "intrinsic mean iterate left the SPD cone", gradient_norm
             )
-        s = np.sqrt(e)
-        root = (v * s) @ v.T
-        inv_root = (v / s) @ v.T
-        whitened = inv_root[None] @ mats @ inv_root[None]
-        step = _batch_logm(symmetrize(whitened)).mean(axis=0)
+        return np.sqrt(eigvals)
+
+    for iteration in range(config.max_iterations):
+        root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
+        step = eig_apply(whiten(inv_root, mats), np.log).mean(axis=0)
         gradient_norm = float(np.linalg.norm(step))
         if gradient_norm <= config.gradient_tolerance:
-            return mean, iteration, gradient_norm
+            return mean, inv_root, iteration, gradient_norm
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise ConvergenceError(
         f"intrinsic mean did not converge in {config.max_iterations} iterations "
         f"(gradient norm {gradient_norm:.3e})",
         gradient_norm,
     )
+
+
+def _deviations(mean, inv_root, mats) -> np.ndarray:
+    """Residual matrices: whitened by ``inv_root`` minus the identity, or
+    entrywise differences from ``mean`` when there is no whitening (flat)."""
+    if inv_root is None:
+        return mats - mean
+    return whiten(inv_root, mats) - np.eye(mean.shape[-1])
 
 
 def frechet_mean(mats, config: FrechetConfig | None = None, *, return_info: bool = False):
@@ -110,9 +119,8 @@ def frechet_mean(mats, config: FrechetConfig | None = None, *, return_info: bool
         If the tolerance is not met within ``max_iterations``; carries the
         last gradient norm.
     """
-    config = config or FrechetConfig()
     stack = np.stack([validate_spd(m) for m in mats])
-    mean, iterations, gradient_norm = _frechet(stack, config)
+    mean, _, iterations, gradient_norm = _frechet(stack, config or FrechetConfig())
     if return_info:
         return mean, FrechetInfo(iterations, gradient_norm)
     return mean
@@ -131,39 +139,16 @@ def residual(group_mean, subject) -> TangentVector:
             f"dimension mismatch: mean {group_mean.shape} vs subject {subject.shape}"
         )
     _, inv_root = spd_sqrtm(group_mean)
-    n = group_mean.shape[0]
-    return TangentVector(symmetrize(inv_root @ subject @ inv_root) - np.eye(n))
+    return TangentVector(_deviations(group_mean, inv_root, subject))
 
 
 def reconstruct(group_mean, deviation) -> np.ndarray:
     """Place a tangent deviation back at the group mean (inverse of
-    :func:`residual`): ``mean^1/2 (I + deviation) mean^1/2``."""
-    group_mean = validate_spd(group_mean)
+    :func:`residual`): ``mean^1/2 (I + deviation) mean^1/2``.  A stack of
+    deviations ``(..., n, n)`` gives a stack of matrices."""
     w = deviation.matrix if isinstance(deviation, TangentVector) else symmetrize(deviation)
     root, _ = spd_sqrtm(group_mean)
-    n = group_mean.shape[0]
-    return symmetrize(root @ (np.eye(n) + w) @ root)
-
-
-def _residual_stack(mean: np.ndarray, mats: np.ndarray, parametrization: str) -> np.ndarray:
-    """Residual matrices, one per subject, without object wrapping."""
-    if parametrization == FLAT:
-        return mats - mean[None]
-    e, v = np.linalg.eigh(mean)
-    inv_root = (v / np.sqrt(e)) @ v.T
-    whitened = symmetrize(inv_root[None] @ mats @ inv_root[None])
-    return whitened - np.eye(mean.shape[-1])[None]
-
-
-def _residual_vecs(mean: np.ndarray, mats: np.ndarray, parametrization: str) -> np.ndarray:
-    """Residual coordinates, one row per subject."""
-    return vec_embed(_residual_stack(mean, mats, parametrization))
-
-
-def _fit_mean(mats: np.ndarray, config: FrechetConfig, parametrization: str):
-    if parametrization == FLAT:
-        return symmetrize(mats.mean(axis=0)), 0, 0.0
-    return _frechet(mats, config)
+    return symmetrize(root @ (np.eye(root.shape[0]) + w) @ root)
 
 
 @dataclass(frozen=True)
@@ -172,14 +157,15 @@ class GroupModel:
 
     ``sigma`` is the root mean square of the residual coordinates, i.e. the
     per-coordinate maximum-likelihood dispersion of the isotropic Gaussian
-    on the (tangent or flat) residual space.
+    on the (tangent or flat) residual space.  ``residuals`` holds the
+    residual coordinates of the fitted subjects, one row each.
     """
 
     mean: np.ndarray
     sigma: float
     n_subjects: int
     parametrization: str = TANGENT
-    residuals: tuple[TangentVector, ...] | None = None
+    residuals: np.ndarray | None = None
     region_names: tuple[str, ...] | None = None
     frechet_iterations: int = 0
     gradient_norm: float = 0.0
@@ -188,16 +174,55 @@ class GroupModel:
     def n(self) -> int:
         return self.mean.shape[0]
 
-    def residual_of(self, subject) -> TangentVector:
-        """Residual of a new subject under this model's parametrization."""
-        subject = validate_spd(subject)
-        if subject.shape != self.mean.shape:
-            raise InvalidInputError(
-                f"subject has shape {subject.shape}, model is {self.mean.shape}"
-            )
-        if self.parametrization == FLAT:
-            return TangentVector(subject - self.mean)
-        return residual(self.mean, subject)
+    @cached_property
+    def inv_root(self) -> np.ndarray | None:
+        """Whitening ``mean^-1/2`` of the tangent frame; None when flat."""
+        return None if self.parametrization == FLAT else spd_sqrtm(self.mean)[1]
+
+    def project(self, mats) -> np.ndarray:
+        """Residual coordinates ``(..., n(n+1)/2)`` of validated SPD
+        matrices ``(..., n, n)`` under this model's parametrization."""
+        return vec_embed(_deviations(self.mean, self.inv_root, mats))
+
+
+def fit_stack(
+    stack: np.ndarray,
+    config: FrechetConfig | None = None,
+    parametrization: str = TANGENT,
+    region_names=None,
+) -> GroupModel:
+    """Fit the group model to an already validated ``(S, n, n)`` SPD stack.
+
+    The core of :func:`fit_from_matrices`.  The whitening of the last
+    Fréchet iteration stays on the model, so projecting new subjects needs
+    no further decomposition of the mean.
+    """
+    check_parametrization(parametrization)
+    if stack.shape[0] < 2:
+        raise InvalidInputError("need at least 2 subjects to fit a group model")
+    n = stack.shape[-1]
+    if region_names is not None:
+        region_names = tuple(region_names)
+        if len(region_names) != n:
+            raise InvalidInputError(f"{len(region_names)} region names for n={n}")
+    if parametrization == TANGENT:
+        fit = _frechet(stack, config or FrechetConfig())
+    else:
+        fit = symmetrize(stack.mean(axis=0)), None, 0, 0.0
+    mean, inv_root, iterations, gradient_norm = fit
+    vecs = vec_embed(_deviations(mean, inv_root, stack))
+    model = GroupModel(
+        mean=mean,
+        sigma=float(np.sqrt(np.mean(vecs**2))),
+        n_subjects=stack.shape[0],
+        parametrization=parametrization,
+        residuals=vecs,
+        region_names=region_names,
+        frechet_iterations=iterations,
+        gradient_norm=gradient_norm,
+    )
+    model.__dict__["inv_root"] = inv_root  # fills the cached property
+    return model
 
 
 def fit_from_matrices(
@@ -209,35 +234,12 @@ def fit_from_matrices(
     """Fit the group model to precomputed SPD matrices.
 
     Computes the group mean (intrinsic or arithmetic), the per-subject
-    residuals, and the dispersion
+    residual coordinates, and the dispersion
     ``sigma = sqrt(mean over subjects and coordinates of squared residual
     coordinates)``.
     """
-    _check_parametrization(parametrization)
-    config = config or FrechetConfig()
     stack = np.stack([validate_spd(m) for m in mats])
-    if stack.shape[0] < 2:
-        raise InvalidInputError("need at least 2 subjects to fit a group model")
-    mean, iterations, gradient_norm = _fit_mean(stack, config, parametrization)
-    deviations = _residual_stack(mean, stack, parametrization)
-    vecs = vec_embed(deviations)
-    sigma = float(np.sqrt(np.mean(vecs**2)))
-    n = mean.shape[0]
-    residuals = tuple(TangentVector(w) for w in deviations)
-    if region_names is not None:
-        region_names = tuple(region_names)
-        if len(region_names) != n:
-            raise InvalidInputError(f"{len(region_names)} region names for n={n}")
-    return GroupModel(
-        mean=mean,
-        sigma=sigma,
-        n_subjects=stack.shape[0],
-        parametrization=parametrization,
-        residuals=residuals,
-        region_names=region_names,
-        frechet_iterations=iterations,
-        gradient_norm=gradient_norm,
-    )
+    return fit_stack(stack, config, parametrization, region_names)
 
 
 def fit_group_model(
@@ -252,12 +254,7 @@ def fit_group_model(
     directly.
     """
     mats, names = as_correlation_matrices(series)
-    return fit_from_matrices(mats, config, parametrization, region_names=names)
-
-
-def flat_group_model(mats, region_names=None) -> GroupModel:
-    """Baseline group model in the flat (entrywise) parametrization."""
-    return fit_from_matrices(mats, parametrization=FLAT, region_names=region_names)
+    return fit_stack(mats, config, parametrization, region_names=names)
 
 
 def log_likelihood(model: GroupModel, subject) -> float:
@@ -272,12 +269,17 @@ def log_likelihood(model: GroupModel, subject) -> float:
         raise DegenerateModelError(
             "model has zero dispersion; likelihood is degenerate"
         )
-    r = model.residual_of(subject)
+    subject = validate_spd(subject)
+    if subject.shape != model.mean.shape:
+        raise InvalidInputError(
+            f"subject has shape {subject.shape}, model is {model.mean.shape}"
+        )
+    r = model.project(subject)
     d = vec_dim(model.n)
     s2 = model.sigma**2
     return float(
         -0.5 * d * np.log(2.0 * np.pi * s2)
-        - 0.5 * np.dot(r.vec, r.vec) / s2
+        - 0.5 * np.dot(r, r) / s2
     )
 
 
@@ -308,7 +310,7 @@ def leave_one_out_scores(
     other_scores = np.zeros(len(other_mats))
     for left in range(s_count):
         rest = np.delete(mats, left, axis=0)
-        model = fit_from_matrices(rest, config, parametrization)
+        model = fit_stack(rest, config, parametrization)
         subject_scores[left] = log_likelihood(model, mats[left])
         for k, om in enumerate(other_mats):
             other_scores[k] += log_likelihood(model, om)

@@ -23,54 +23,45 @@ from .exceptions import ConvergenceError, InvalidInputError, NearSingularError
 from .group import (
     TANGENT,
     FrechetConfig,
-    _check_parametrization,
-    _fit_mean,
-    _residual_vecs,
-    fit_from_matrices,
+    GroupModel,
+    check_parametrization,
+    fit_stack,
 )
-from .geometry import pair_count, tril_pairs, validate_spd
+from .geometry import pair_count, tril_pairs
 
 # Pairs whose statistic is constant across controls would blow up the
 # normalization; the standard deviation is floored instead.
 SD_FLOOR = 1e-12
 
 
-def t_statistic(controls, patient_value: float) -> float:
-    """One-sample prediction-style statistic of a patient value against
+def t_statistic(controls, patient_value):
+    """One-sample prediction-style statistic of patient values against
     control values.
 
     ``(patient - mean(controls)) / (sd(controls) * sqrt(1 + 1/S))`` with the
     unbiased (1/(S-1)) standard deviation, floored at ``SD_FLOOR``.
+    ``controls`` is ``(S,)`` or ``(S, P)`` with one column per coordinate;
+    ``patient_value`` broadcasts against a control row.
     """
     c = np.asarray(controls, dtype=np.float64)
-    if c.ndim != 1 or c.size < 2:
+    if c.ndim not in (1, 2) or c.shape[0] < 2:
         raise InvalidInputError("need at least 2 control values")
-    sd = max(float(c.std(ddof=1)), SD_FLOOR)
-    return float((patient_value - c.mean()) / (sd * math.sqrt(1.0 + 1.0 / c.size)))
+    sd = np.maximum(c.std(axis=0, ddof=1), SD_FLOOR)
+    return (patient_value - c.mean(axis=0)) / (sd * math.sqrt(1.0 + 1.0 / c.shape[0]))
 
 
-def _t_stats(control_rows: np.ndarray, patient_row: np.ndarray) -> np.ndarray:
-    """Vectorized `t_statistic` across coordinates (columns)."""
-    s = control_rows.shape[0]
-    sd = np.maximum(control_rows.std(axis=0, ddof=1), SD_FLOOR)
-    return (patient_row - control_rows.mean(axis=0)) / (sd * math.sqrt(1.0 + 1.0 / s))
-
-
-def empirical_pvalue(t: float, null_values) -> float:
+def empirical_pvalue(t, null_values):
     """Two-sided empirical p-value with add-one smoothing.
 
     ``p = (1 + #{v in null : |v| >= |t|}) / (m + 1)``; always in
-    ``(0, 1]`` and monotone non-increasing in ``|t|``.
+    ``(0, 1]`` and monotone non-increasing in ``|t|``.  ``null_values`` is
+    ``(m,)`` or ``(m, P)`` with one column per coordinate of ``t``.
     """
     null = np.asarray(null_values, dtype=np.float64)
     if null.size == 0:
         raise InvalidInputError("empty null sample")
-    return float((1 + np.sum(np.abs(null) >= abs(t))) / (null.size + 1))
-
-
-def _empirical_pvalues(t_row: np.ndarray, null_columns: np.ndarray) -> np.ndarray:
-    exceed = (np.abs(null_columns) >= np.abs(t_row)[None, :]).sum(axis=0)
-    return (1.0 + exceed) / (null_columns.shape[0] + 1.0)
+    exceed = (np.abs(null) >= np.abs(t)).sum(axis=0)
+    return (1.0 + exceed) / (null.shape[0] + 1.0)
 
 
 @dataclass(frozen=True)
@@ -157,17 +148,13 @@ def _null_rows(args):
             rest = indices[indices != left]
             surrogate = mats[rng.choice(rest, size=s_count, replace=True)]
             try:
-                mean, _, _ = _fit_mean(surrogate, config, parametrization)
-                vecs = _residual_vecs(
-                    mean,
-                    np.concatenate([surrogate, mats[left][None]]),
-                    parametrization,
-                )
+                model = fit_stack(surrogate, config, parametrization)
+                left_vec = model.project(mats[left])
             except _FIT_FAILURES:
                 failures[it - start] += 1
                 continue
-            rows[it - start] = _t_stats(
-                vecs[:s_count, :n_pairs], vecs[s_count, :n_pairs]
+            rows[it - start] = t_statistic(
+                model.residuals[:, :n_pairs], left_vec[:n_pairs]
             )
             break
         else:
@@ -208,7 +195,7 @@ def build_null(
     ConvergenceError
         If more than 10% of fits fail across the whole run.
     """
-    _check_parametrization(parametrization)
+    check_parametrization(parametrization)
     if m < 1:
         raise InvalidInputError("bootstrap count m must be >= 1")
     config = config or FrechetConfig()
@@ -247,6 +234,21 @@ def build_null(
     )
 
 
+def score(model: GroupModel, null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair statistics and raw p-values of subjects against the controls.
+
+    ``mats`` is an already validated ``(k, n, n)`` stack; its residuals under
+    ``model`` are compared with the control residuals stored on the model,
+    then each row of statistics with the null.  Returns ``t`` and ``p``,
+    both ``(k, n (n - 1) / 2)`` in canonical pair order.
+    """
+    n_pairs = pair_count(model.n)
+    t = t_statistic(model.residuals[:, :n_pairs], model.project(mats)[:, :n_pairs])
+    # one row at a time keeps the comparison with the null at (m, P)
+    p = np.stack([empirical_pvalue(row, null.values) for row in t])
+    return t, p
+
+
 def test_patient(
     controls,
     patient,
@@ -269,23 +271,14 @@ def test_patient(
     n = mats.shape[-1]
     if null.n != n:
         raise InvalidInputError(f"null was built for n={null.n}, controls have n={n}")
-    model = fit_from_matrices(
-        mats, config, null.parametrization, region_names=names
-    )
-    if hasattr(patient, "values"):  # TimeSeries
-        patient_mat, _ = as_correlation_matrices([patient])
-        patient_mat = patient_mat[0]
-    else:
-        patient_mat = validate_spd(patient)
-    if patient_mat.shape != model.mean.shape:
+    model = fit_stack(mats, config, null.parametrization, region_names=names)
+    patient_mats, _ = as_correlation_matrices([patient])
+    if patient_mats.shape[1:] != model.mean.shape:
         raise InvalidInputError(
-            f"patient has shape {patient_mat.shape}, controls are {model.mean.shape}"
+            f"patient has shape {patient_mats.shape[1:]}, controls are {model.mean.shape}"
         )
+    (t_row,), (p_raw,) = score(model, null, patient_mats)
     n_pairs = pair_count(n)
-    control_vecs = np.stack([r.vec for r in model.residuals])
-    patient_vec = model.residual_of(patient_mat).vec
-    t_row = _t_stats(control_vecs[:, :n_pairs], patient_vec[:n_pairs])
-    p_raw = _empirical_pvalues(t_row, null.values)
     p_corr = np.minimum(1.0, p_raw * n_pairs)
     ii, jj = tril_pairs(n)
     pairs = tuple(

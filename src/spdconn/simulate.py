@@ -10,7 +10,7 @@ against the known modified pairs while sweeping the p-value threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,19 @@ from .geometry import (
     TangentVector,
     clip_spd,
     pair_count,
-    spd_sqrtm,
-    symmetrize,
     tril_pairs,
     validate_spd,
     vec_dim,
     vec_unembed,
 )
-from .group import TANGENT, FrechetConfig, _check_parametrization, fit_from_matrices
-from .inference import _empirical_pvalues, _t_stats, build_null
+from .group import (
+    TANGENT,
+    FrechetConfig,
+    check_parametrization,
+    fit_from_matrices,
+    reconstruct,
+)
+from .inference import build_null, score
 
 
 def default_group_correlation(n: int, decay: float = 0.3) -> np.ndarray:
@@ -78,9 +82,11 @@ class SimConfig:
             raise ConfigurationError("m must be >= 1")
         if self.n_patients < 1:
             raise ConfigurationError("n_patients must be >= 1")
-        _check_parametrization(self.parametrization)
+        check_parametrization(self.parametrization)
         if self.sigma_star is not None:
             object.__setattr__(self, "sigma_star", validate_spd(self.sigma_star))
+            if self.sigma_star.shape != (self.n, self.n):
+                raise ConfigurationError(f"sigma_star must be {self.n} x {self.n}")
 
     def group_matrix(self) -> np.ndarray:
         if self.sigma_star is not None:
@@ -88,9 +94,14 @@ class SimConfig:
         return default_group_correlation(self.n)
 
 
-def _place(root: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = root.shape[0]
-    return symmetrize(root @ (np.eye(n) + w) @ root)
+def _clip_each(mats: np.ndarray) -> int:
+    """Clip the draws of a stack in place; returns how many were clipped."""
+    n_clipped = 0
+    # one call per draw: perfbench/layertrace.py matches clip counts to calls
+    for k in range(len(mats)):
+        mats[k], clipped = clip_spd(mats[k])
+        n_clipped += clipped
+    return n_clipped
 
 
 def sample_population(
@@ -117,16 +128,11 @@ def sample_population(
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     size = cfg.n_controls if size is None else size
-    root, _ = spd_sqrtm(cfg.group_matrix())
-    n = root.shape[0]
-    d = vec_dim(n)
-    mats = np.empty((size, n, n))
-    n_clipped = 0
-    for s in range(size):
-        w = vec_unembed(rng.normal(0.0, cfg.sigma, d), n)
-        mat, clipped = clip_spd(_place(root, w))
-        mats[s] = mat
-        n_clipped += clipped
+    group = cfg.group_matrix()
+    n = group.shape[0]
+    w = vec_unembed(rng.normal(0.0, cfg.sigma, (size, vec_dim(n))), n)
+    mats = reconstruct(group, w)
+    n_clipped = _clip_each(mats)
     if n_clipped > cfg.max_clip_fraction * size:
         raise ConfigurationError(
             f"{n_clipped}/{size} draws left the SPD cone: sigma={cfg.sigma} is too "
@@ -202,31 +208,32 @@ class RocCurve:
         return np.column_stack([self.fpr, self.tpr])
 
 
-def _simulate_patients(cfg: SimConfig, root: np.ndarray, rng):
+def simulate_patients(cfg: SimConfig, rng):
     """Patient matrices (control draw + injected differences) and the
     ground-truth label row for each.
 
+    Returns ``(mats, labels, n_clipped)``: the ``(n_patients, n, n)``
+    matrices, a boolean ``(n_patients, n (n - 1) / 2)`` array marking the
+    modified pairs in canonical order, and the number of clipped draws.
     Unlike control sampling there is no clip-rate abort: large injected
     differences legitimately push a draw toward the cone boundary, and the
     clip just keeps it on the cone.  Clips are counted for reporting.
     """
-    n = root.shape[0]
+    group = cfg.group_matrix()
+    n = group.shape[0]
     d = vec_dim(n)
-    n_pairs = pair_count(n)
     ii, jj = tril_pairs(n)
     pair_index = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(ii, jj))}
-    mats = np.empty((cfg.n_patients, n, n))
-    labels = np.zeros((cfg.n_patients, n_pairs), dtype=bool)
-    n_clipped = 0
+    deviations = np.empty((cfg.n_patients, n, n))
+    labels = np.zeros((cfg.n_patients, pair_count(n)), dtype=bool)
     for p in range(cfg.n_patients):
         base = TangentVector(vec_unembed(rng.normal(0.0, cfg.sigma, d), n))
         injected, pairs = inject_differences(base, cfg, rng=rng)
-        mat, clipped = clip_spd(_place(root, injected.matrix))
-        mats[p] = mat
-        n_clipped += clipped
+        deviations[p] = injected.matrix
         for pair in pairs:
             labels[p, pair_index[pair]] = True
-    return mats, labels, n_clipped
+    mats = reconstruct(group, deviations)
+    return mats, labels, _clip_each(mats)
 
 
 def roc_experiment(
@@ -261,18 +268,10 @@ def roc_experiment(
         n_jobs=n_jobs,
     )
     model = fit_from_matrices(controls, config, cfg.parametrization)
-    n_pairs = pair_count(cfg.n)
-    control_vecs = np.stack([r.vec for r in model.residuals])[:, :n_pairs]
-
-    root, _ = spd_sqrtm(cfg.group_matrix())
-    patients, labels, patients_clipped = _simulate_patients(
-        cfg, root, np.random.default_rng(ss_patients)
+    patients, labels, patients_clipped = simulate_patients(
+        cfg, np.random.default_rng(ss_patients)
     )
-    scores = np.empty((cfg.n_patients, n_pairs))
-    for p in range(cfg.n_patients):
-        vec = model.residual_of(patients[p]).vec[:n_pairs]
-        t_row = _t_stats(control_vecs, vec)
-        scores[p] = _empirical_pvalues(t_row, null.values)
+    _, scores = score(model, null, patients)
 
     flat_scores = scores.ravel()
     flat_labels = labels.ravel()
@@ -302,8 +301,3 @@ def cell_seed(base_seed: int, index: int) -> int:
     """Derived per-cell seed for grids of experiments; stable and
     decorrelated across cells."""
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
-
-
-def with_seed(cfg: SimConfig, seed: int) -> SimConfig:
-    """Copy of ``cfg`` with a different seed."""
-    return replace(cfg, seed=seed)

@@ -273,13 +273,9 @@ def test_08_likelihood_separation():
             seed=cell_seed(808, trial), n_patients=5,
         )
         controls, _ = sample_population(cfg)
-        from spdconn.simulate import _simulate_patients
-        from spdconn import spd_sqrtm
+        from spdconn import simulate_patients
 
-        root, _ = spd_sqrtm(cfg.group_matrix())
-        patients, _, _ = _simulate_patients(
-            cfg, root, np.random.default_rng([808, trial, 1])
-        )
+        patients, _, _ = simulate_patients(cfg, np.random.default_rng([808, trial, 1]))
         control_scores, patient_scores = leave_one_out_scores(controls, list(patients))
         successes += control_scores.mean() > patient_scores.mean()
     rate = successes / trials

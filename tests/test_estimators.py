@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spdconn import (
     DegenerateInputError,
     InvalidInputError,
+    NearSingularError,
     TimeSeries,
     correlation_matrix,
     ledoit_wolf,
@@ -13,6 +14,7 @@ from spdconn import (
     sample_covariance,
     to_correlation,
 )
+from spdconn import estimators
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -178,3 +180,11 @@ class TestPipeline:
         out = correlation_matrix(ts, c)
         assert np.array_equal(np.diag(out), np.ones(6))
         assert np.linalg.eigvalsh(out).min() > 0
+
+    def test_estimated_matrices_are_validated(self, rng, monkeypatch):
+        ts = TimeSeries(rng.standard_normal((50, 3)))
+        monkeypatch.setattr(
+            estimators, "correlation_matrix", lambda x: np.diag([1.0, 1e-14, 1.0])
+        )
+        with pytest.raises(NearSingularError):
+            estimators.as_correlation_matrices([ts])

@@ -4,10 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdconn import (
+    SPD_EIG_FLOOR,
     InvalidInputError,
     NearSingularError,
     NumericRangeError,
     TangentVector,
+    clip_spd,
     geodesic_distance,
     spd_expm,
     spd_logm,
@@ -232,3 +234,36 @@ class TestValidation:
 
     def test_validate_spd_accepts_above_floor(self):
         validate_spd(np.diag([1.0, 1e-9]))
+
+    def test_validate_spd_floor_is_per_matrix(self):
+        # each matrix passes alone, so the stack passes whatever their scales
+        stack = np.stack([np.eye(3), 1e-12 * np.eye(3)])
+        np.testing.assert_array_equal(validate_spd(stack), stack)
+        np.testing.assert_allclose(spd_logm(stack)[1], np.log(1e-12) * np.eye(3))
+        with pytest.raises(NearSingularError):
+            validate_spd(np.stack([np.eye(2), np.diag([1.0, 5e-11])]))
+
+
+class TestClip:
+    def test_clip_keeps_cone_members(self):
+        m = np.diag([2.0, 1.0])
+        out, clipped = clip_spd(m)
+        assert clipped is False
+        np.testing.assert_array_equal(out, m)
+
+    def test_clip_raises_floor(self):
+        out, clipped = clip_spd(np.diag([1.0, -0.5]))
+        assert clipped is True
+        np.testing.assert_allclose(out, np.diag([1.0, 2.0 * SPD_EIG_FLOOR]), atol=1e-15)
+        validate_spd(out)
+
+    def test_clip_floor_is_per_matrix(self):
+        stack = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([1e-6, -1e-6, 1e-12])])
+        out, clipped = clip_spd(stack)
+        assert clipped.tolist() == [False, True]
+        np.testing.assert_array_equal(out[0], stack[0])
+        # the floor of the second matrix follows its own largest eigenvalue
+        np.testing.assert_allclose(
+            np.diag(out[1]), [1e-6, 2.0 * SPD_EIG_FLOOR * 1e-6, 1e-12], rtol=1e-9, atol=0
+        )
+        validate_spd(out)

@@ -13,7 +13,6 @@ from spdconn import (
     TimeSeries,
     fit_from_matrices,
     fit_group_model,
-    flat_group_model,
     frechet_mean,
     leave_one_out_scores,
     log_likelihood,
@@ -21,6 +20,7 @@ from spdconn import (
     residual,
     sample_population,
     vec_dim,
+    vec_unembed,
 )
 from helpers import random_invertible, random_orthogonal, random_spd
 
@@ -146,7 +146,7 @@ class TestFitGroupModel:
         cfg = SimConfig(n=10, n_controls=20, sigma=0.05, seed=3, k_diffs=5)
         mats, _ = sample_population(cfg)
         model = fit_from_matrices(mats)
-        vecs = np.stack([r.vec for r in model.residuals])
+        vecs = model.residuals
         # first-order stationarity: per-coordinate mean within a few
         # sampling standard errors
         assert np.max(np.abs(vecs.mean(axis=0))) <= 3.0 * cfg.sigma / np.sqrt(20)
@@ -159,25 +159,27 @@ class TestFitGroupModel:
 class TestFlatModel:
     def test_identical_subjects(self, rng):
         a = random_spd(rng, 4)
-        model = flat_group_model([a, a, a])
+        model = fit_from_matrices([a, a, a], parametrization="flat")
         assert np.allclose(model.mean, a)
         assert model.sigma <= 1e-14
 
     def test_arithmetic_mean(self):
-        model = flat_group_model([np.diag([4.0, 1.0]), np.diag([1.0, 4.0])])
+        model = fit_from_matrices(
+            [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])], parametrization="flat"
+        )
         assert np.allclose(model.mean, np.diag([2.5, 2.5]))
 
     def test_flat_and_tangent_differ_on_noncommuting_inputs(self, rng):
         mats = [0.4 * random_spd(rng, 4) + 0.6 * np.eye(4) for _ in range(4)]
-        flat = flat_group_model(mats)
+        flat = fit_from_matrices(mats, parametrization="flat")
         tangent = fit_from_matrices(mats)
         assert np.linalg.norm(flat.mean - tangent.mean) > 1e-6
 
     def test_flat_residuals_are_differences(self, rng):
         mats = [random_spd(rng, 3) for _ in range(3)]
-        model = flat_group_model(mats)
+        model = fit_from_matrices(mats, parametrization="flat")
         for m, r in zip(mats, model.residuals):
-            assert np.allclose(r.matrix, 0.5 * (m + m.T) - model.mean, atol=1e-12)
+            assert np.allclose(vec_unembed(r, 3), 0.5 * (m + m.T) - model.mean, atol=1e-12)
 
 
 class TestLogLikelihood:

@@ -45,6 +45,12 @@ class TestTStatistic:
         with pytest.raises(InvalidInputError):
             t_statistic([1.0], 0.0)
 
+    def test_columns_match_single_column_calls(self, rng):
+        controls = rng.standard_normal((12, 7))
+        patient = rng.standard_normal(7)
+        columns = [t_statistic(controls[:, k], patient[k]) for k in range(7)]
+        np.testing.assert_allclose(t_statistic(controls, patient), columns, rtol=1e-12)
+
 
 class TestEmpiricalPvalue:
     def test_zero_statistic_symmetric_null(self):
@@ -67,6 +73,12 @@ class TestEmpiricalPvalue:
     def test_never_zero(self, rng):
         null = rng.standard_normal(50)
         assert empirical_pvalue(1e9, null) > 0.0
+
+    def test_columns_match_single_column_calls(self, rng):
+        null = rng.standard_normal((30, 6))
+        t = np.array([0.0, 0.5, -1.0, 2.0, 10.0, null[3, 5]])
+        columns = [empirical_pvalue(t[k], null[:, k]) for k in range(6)]
+        assert empirical_pvalue(t, null).tolist() == columns
 
     def test_empty_null_raises(self):
         with pytest.raises(InvalidInputError):

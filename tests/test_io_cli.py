@@ -236,6 +236,19 @@ class TestCliLikelihood:
         assert "control\tloo_log_likelihood" in out
         assert "subject\tmean_loo_log_likelihood" in out
 
+    def test_model_mode_rejects_flat(self, demo, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--controls", *demo["controls"], "--out", str(model_path)])
+        capsys.readouterr()
+        code = main(
+            ["likelihood", "--model", str(model_path), demo["patient"],
+             "--parametrization", "flat"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--parametrization flat" in captured.err
+        assert captured.out == ""
+
     def test_missing_model_fails(self, demo, capsys):
         code = main(["likelihood", "--model", "/nonexistent/m.json", demo["patient"]])
         assert code != 0

@@ -31,6 +31,8 @@ class TestConfig:
             SimConfig(n=10, n_controls=5, d_sigma=-0.1)
         with pytest.raises(ConfigurationError):
             SimConfig(n=5, n_controls=5)  # default k_diffs exceeds pairs
+        with pytest.raises(ConfigurationError):
+            SimConfig(n=5, n_controls=5, k_diffs=2, sigma_star=np.eye(4))
 
     def test_default_group_matrix(self):
         m = default_group_correlation(6)
