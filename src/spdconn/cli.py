@@ -76,9 +76,7 @@ def cmd_test(args) -> int:
         controls, args.m, args.seed, parametrization=args.parametrization
     )
     subject_id = os.path.splitext(os.path.basename(args.patient))[0]
-    report = test_patient(
-        controls, patient, null, alpha=args.alpha, subject_id=subject_id
-    )
+    report = test_patient(patient, null, alpha=args.alpha, subject_id=subject_id)
     sio.write_report(args.out, report, m=args.m, seed=args.seed)
     print(f"pairs_tested: {len(report.pairs)}")
     print(f"significant_corrected: {report.n_significant(corrected=True)}")
@@ -113,6 +111,8 @@ def cmd_likelihood(args) -> int:
         )
     model = sio.read_model(args.model)
     subjects = _load_series(args.subjects)
+    for ts in subjects:
+        model.check_region_names(ts.region_names)
     print("subject\tlog_likelihood")
     for path, ts in zip(args.subjects, subjects):
         score = log_likelihood(model, correlation_matrix(ts))

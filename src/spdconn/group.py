@@ -184,6 +184,15 @@ class GroupModel:
         matrices ``(..., n, n)`` under this model's parametrization."""
         return vec_embed(_deviations(self.mean, self.inv_root, mats))
 
+    def check_region_names(self, names):
+        """Raise ``InvalidInputError`` when a subject's region names and the
+        model's are both known and differ, in names or in column order."""
+        if names is not None and self.region_names is not None:
+            if tuple(names) != self.region_names:
+                raise InvalidInputError(
+                    f"subject regions {tuple(names)} differ from the model's {self.region_names}"
+                )
+
 
 def fit_stack(
     stack: np.ndarray,

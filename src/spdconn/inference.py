@@ -66,24 +66,35 @@ def empirical_pvalue(t, null_values):
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Per-pair bootstrap null statistics.
+    """Per-pair bootstrap null statistics of one control group.
 
-    ``values[k, p]`` is the statistic from bootstrap iteration ``k`` for the
-    off-diagonal pair ``p`` in canonical (row-major lower-triangle) order.
+    ``model`` is the group model fitted to the complete control group the
+    null was built from; subjects are scored against it.  ``values[k, p]``
+    is the statistic from bootstrap iteration ``k`` for the off-diagonal
+    pair ``p`` in canonical (row-major lower-triangle) order.
     """
 
-    n: int
-    m: int
+    model: GroupModel
     values: np.ndarray
-    parametrization: str = TANGENT
     seed: int | None = None
     n_failures: int = 0
 
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def parametrization(self) -> str:
+        return self.model.parametrization
+
     def __post_init__(self):
-        expected = (self.m, pair_count(self.n))
-        if self.values.shape != expected:
+        if self.values.ndim != 2 or self.values.shape[1] != pair_count(self.n):
             raise InvalidInputError(
-                f"null values have shape {self.values.shape}, expected {expected}"
+                f"null values have shape {self.values.shape}, expected (m, {pair_count(self.n)})"
             )
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("null distribution contains non-finite values")
@@ -175,6 +186,8 @@ def build_null(
 ) -> NullDistribution:
     """Build the per-pair null distribution by leave-one-out bootstrap.
 
+    The null carries the group model fitted to the complete control group.
+
     Parameters
     ----------
     controls : sequence of TimeSeries or SPD arrays
@@ -198,11 +211,9 @@ def build_null(
     check_parametrization(parametrization)
     if m < 1:
         raise InvalidInputError("bootstrap count m must be >= 1")
-    config = config or FrechetConfig()
-    mats, _ = as_correlation_matrices(controls)
+    mats, names = as_correlation_matrices(controls)
     if mats.shape[0] < 3:
         raise InvalidInputError("need at least 3 controls to build a null")
-    n = mats.shape[-1]
 
     if n_jobs == -1:
         n_jobs = max(1, len(os.sched_getaffinity(0)))
@@ -224,24 +235,19 @@ def build_null(
         raise ConvergenceError(
             f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)"
         )
-    return NullDistribution(
-        n=n,
-        m=m,
-        values=values,
-        parametrization=parametrization,
-        seed=seed,
-        n_failures=n_failures,
-    )
+    model = fit_stack(mats, config, parametrization, region_names=names)
+    return NullDistribution(model, values, seed, n_failures)
 
 
-def score(model: GroupModel, null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
+def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair statistics and raw p-values of subjects against the controls.
 
     ``mats`` is an already validated ``(k, n, n)`` stack; its residuals under
-    ``model`` are compared with the control residuals stored on the model,
-    then each row of statistics with the null.  Returns ``t`` and ``p``,
-    both ``(k, n (n - 1) / 2)`` in canonical pair order.
+    ``null.model`` are compared with the control residuals stored on the
+    model, then each row of statistics with the null.  Returns ``t`` and
+    ``p``, both ``(k, n (n - 1) / 2)`` in canonical pair order.
     """
+    model = null.model
     n_pairs = pair_count(model.n)
     t = t_statistic(model.residuals[:, :n_pairs], model.project(mats)[:, :n_pairs])
     # one row at a time keeps the comparison with the null at (m, P)
@@ -250,37 +256,32 @@ def score(model: GroupModel, null: NullDistribution, mats) -> tuple[np.ndarray, 
 
 
 def test_patient(
-    controls,
     patient,
     null: NullDistribution,
     alpha: float = 0.05,
     *,
     subject_id: str = "patient",
-    config: FrechetConfig | None = None,
 ) -> TestReport:
     """Test every region pair of one subject against the control group.
 
-    Fits the group model on the complete control group, projects the
-    patient into its residual frame, and scores each pair against the
-    matching null column.  Raw p-values are Bonferroni-corrected over the
+    Projects the patient into the residual frame of the control model
+    carried by ``null`` and scores each pair against the matching null
+    column.  Raw p-values are Bonferroni-corrected over the
     ``n (n - 1) / 2`` pairs.
     """
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-    mats, names = as_correlation_matrices(controls)
-    n = mats.shape[-1]
-    if null.n != n:
-        raise InvalidInputError(f"null was built for n={null.n}, controls have n={n}")
-    model = fit_stack(mats, config, null.parametrization, region_names=names)
-    patient_mats, _ = as_correlation_matrices([patient])
+    model = null.model
+    patient_mats, names = as_correlation_matrices([patient])
     if patient_mats.shape[1:] != model.mean.shape:
         raise InvalidInputError(
             f"patient has shape {patient_mats.shape[1:]}, controls are {model.mean.shape}"
         )
-    (t_row,), (p_raw,) = score(model, null, patient_mats)
-    n_pairs = pair_count(n)
+    model.check_region_names(names)
+    (t_row,), (p_raw,) = score(null, patient_mats)
+    n_pairs = pair_count(model.n)
     p_corr = np.minimum(1.0, p_raw * n_pairs)
-    ii, jj = tril_pairs(n)
+    ii, jj = tril_pairs(model.n)
     pairs = tuple(
         PairTest(
             i=int(ii[k]),
@@ -297,7 +298,7 @@ def test_patient(
         alpha=alpha,
         pairs=pairs,
         region_names=model.region_names,
-        parametrization=null.parametrization,
+        parametrization=model.parametrization,
     )
 
 

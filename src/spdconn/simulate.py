@@ -24,13 +24,7 @@ from .geometry import (
     vec_dim,
     vec_unembed,
 )
-from .group import (
-    TANGENT,
-    FrechetConfig,
-    check_parametrization,
-    fit_from_matrices,
-    reconstruct,
-)
+from .group import TANGENT, FrechetConfig, check_parametrization, reconstruct
 from .inference import build_null, score
 
 
@@ -245,7 +239,7 @@ def roc_experiment(
 ):
     """Run the full detection pipeline on one simulated experiment.
 
-    Draws controls, builds the bootstrap null, fits the group model, tests
+    Draws controls, builds the bootstrap null with its group model, tests
     ``n_patients`` simulated patients, and scores the per-pair p-values
     against the known injected pairs, pooling over patients and pairs while
     sweeping the threshold over the full grid the empirical null can
@@ -267,18 +261,17 @@ def roc_experiment(
         config=config,
         n_jobs=n_jobs,
     )
-    model = fit_from_matrices(controls, config, cfg.parametrization)
     patients, labels, patients_clipped = simulate_patients(
         cfg, np.random.default_rng(ss_patients)
     )
-    _, scores = score(model, null, patients)
+    _, scores = score(null, patients)
 
-    flat_scores = scores.ravel()
-    flat_labels = labels.ravel()
     thresholds = np.arange(cfg.m + 2) / (cfg.m + 1)
-    detected = flat_scores[None, :] <= thresholds[:, None]
-    tpr = detected[:, flat_labels].mean(axis=1)
-    fpr = detected[:, ~flat_labels].mean(axis=1)
+    # share of labelled and unlabelled scores at or below each threshold
+    tpr, fpr = (
+        np.searchsorted(np.sort(s), thresholds, side="right") / s.size
+        for s in (scores[labels], scores[~labels])
+    )
     curve = RocCurve(
         thresholds=thresholds,
         fpr=fpr,

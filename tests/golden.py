@@ -51,7 +51,7 @@ def golden_cases() -> dict[str, np.ndarray]:
             null = build_null(controls, cfg.m, seed, parametrization=par)
             out[f"{key}/null_values"] = null.values
             out[f"{key}/null_failures"] = np.array(null.n_failures)
-            report = test_patient(controls, patient, null)
+            report = test_patient(patient, null)
             out[f"{key}/test_t"] = np.array([p.t for p in report.pairs])
             out[f"{key}/test_p"] = np.array([p.p_raw for p in report.pairs])
             own, other = leave_one_out_scores(

@@ -207,7 +207,7 @@ def test_05_null_calibration():
         mats, _ = sample_population(cfg)
         patient, _ = sample_population(cfg, rng=np.random.default_rng([505, rep, 1]), size=1)
         null = build_null(mats, m=m, seed=cell_seed(606, rep), n_jobs=N_JOBS)
-        rep_report = test_patient(mats, patient[0], null)
+        rep_report = test_patient(patient[0], null)
         p_raw = np.array([p.p_raw for p in rep_report.pairs])
         rates.append(float((p_raw < 0.05).mean()))
     mean_rate = float(np.mean(rates))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from spdconn import (
     FrechetConfig,
     InvalidInputError,
     SimConfig,
+    TimeSeries,
     build_null,
     empirical_pvalue,
+    fit_from_matrices,
     pair_count,
     sample_population,
+    sample_time_series,
     t_statistic,
     test_patient,
 )
@@ -20,6 +25,12 @@ def control_mats():
     cfg = SimConfig(n=8, n_controls=12, sigma=0.08, seed=11, k_diffs=4)
     mats, _ = sample_population(cfg)
     return mats
+
+
+@pytest.fixture(scope="module")
+def named_series():
+    """Six time series with region names, five regions each."""
+    return sample_time_series(SimConfig(n=5, n_controls=6, sigma=0.08, seed=42, k_diffs=3), t=60)
 
 
 class TestTStatistic:
@@ -124,7 +135,7 @@ class TestTestPatient:
     def test_report_contract(self, control_mats):
         null = build_null(control_mats, m=25, seed=1)
         patient = control_mats[0]
-        report = test_patient(control_mats, patient, null, alpha=0.05)
+        report = test_patient(patient, null, alpha=0.05)
         n_pairs = pair_count(8)
         assert len(report.pairs) == n_pairs
         for p in report.pairs:
@@ -138,14 +149,14 @@ class TestTestPatient:
         cfg = SimConfig(n=33, n_controls=6, sigma=0.05, seed=2)
         mats, _ = sample_population(cfg)
         null = build_null(mats, m=3, seed=0)
-        report = test_patient(mats, mats[0], null)
+        report = test_patient(mats[0], null)
         assert len(report.pairs) == 528
 
     def test_control_order_invariance(self, control_mats):
         null = build_null(control_mats, m=20, seed=6)
         patient = control_mats[-1]
-        a = test_patient(control_mats, patient, null)
-        b = test_patient(control_mats[::-1], patient, null)
+        a = test_patient(patient, null)
+        b = test_patient(patient, replace(null, model=fit_from_matrices(control_mats[::-1])))
         ta = np.array([p.t for p in a.pairs])
         tb = np.array([p.t for p in b.pairs])
         np.testing.assert_allclose(ta, tb, rtol=1e-10)
@@ -161,7 +172,7 @@ class TestTestPatient:
         bump = np.zeros((8, 8))
         bump[1, 0] = bump[0, 1] = 0.9
         patient = reconstruct(default_group_correlation(8), bump)
-        report = test_patient(control_mats, patient, null)
+        report = test_patient(patient, null)
         best = min(p.p_raw for p in report.pairs)
         assert best == 1.0 / (m + 1)
 
@@ -170,9 +181,26 @@ class TestTestPatient:
         cfg = SimConfig(n=5, n_controls=6, sigma=0.05, seed=1, k_diffs=3)
         other, _ = sample_population(cfg)
         with pytest.raises(InvalidInputError):
-            test_patient(other, other[0], null)
+            test_patient(other[0], null)
+
+    def test_rejects_permuted_regions(self, named_series):
+        null = build_null(named_series[:-1], m=5, seed=0)
+        patient = named_series[-1]
+        test_patient(patient, null)
+        perm = [1, 0, 2, 3, 4]
+        permuted = TimeSeries(
+            patient.values[:, perm], [patient.region_names[k] for k in perm]
+        )
+        with pytest.raises(InvalidInputError):
+            test_patient(permuted, null)
+
+    def test_rejects_other_region_names(self, named_series):
+        null = build_null(named_series[:-1], m=5, seed=0)
+        renamed = TimeSeries(named_series[-1].values, ["a", "b", "c", "d", "e"])
+        with pytest.raises(InvalidInputError):
+            test_patient(renamed, null)
 
     def test_alpha_validation(self, control_mats):
         null = build_null(control_mats, m=5, seed=0)
         with pytest.raises(InvalidInputError):
-            test_patient(control_mats, control_mats[0], null, alpha=0.0)
+            test_patient(control_mats[0], null, alpha=0.0)

@@ -194,6 +194,24 @@ class TestCliTest:
         assert rows[0] == "region_i,region_j,t,p_raw,p_corrected,direction"
         assert len(rows) - 1 == 5 * 4 // 2
 
+    def test_estimates_each_subject_once(self, demo, tmp_path, monkeypatch):
+        from spdconn import estimators
+
+        calls = []
+        original = estimators.correlation_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "correlation_matrix", counting)
+        args = [
+            "test", "--controls", *demo["controls"], "--patient", demo["patient"],
+            "--m", "5", "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(args) == 0
+        assert len(calls) == len(demo["controls"]) + 1
+
     def test_seed_changes_report(self, demo, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         base = [
@@ -247,6 +265,24 @@ class TestCliLikelihood:
         assert code == 1
         captured = capsys.readouterr()
         assert "--parametrization flat" in captured.err
+        assert captured.out == ""
+
+    def test_model_mode_rejects_permuted_columns(self, demo, tmp_path, capsys):
+        from spdconn import TimeSeries
+
+        model_path = tmp_path / "model.json"
+        main(["fit", "--controls", *demo["controls"], "--out", str(model_path)])
+        capsys.readouterr()
+        patient = sio.read_time_series(demo["patient"])
+        perm = [1, 0, 2, 3, 4]
+        permuted = tmp_path / "permuted.csv"
+        write_series_csv(permuted, TimeSeries(
+            patient.values[:, perm], [patient.region_names[k] for k in perm]
+        ))
+        code = main(["likelihood", "--model", str(model_path), str(permuted)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "regions" in captured.err
         assert captured.out == ""
 
     def test_missing_model_fails(self, demo, capsys):

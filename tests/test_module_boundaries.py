@@ -1,11 +1,15 @@
-"""No module of the package uses another module's private names."""
+"""No module of the package uses another module's private names, and every
+function the benchmark's tracer relies on stays a public function."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "spdconn"
+LAYERTRACE = Path(__file__).parent.parent / "perfbench" / "layertrace.py"
 
 
 def _private(name: str) -> bool:
@@ -61,3 +65,19 @@ def test_guard_finds_private_uses():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_uses(path.read_text()) == []
+
+
+def test_traced_names_are_public_functions():
+    # the per-layer benchmark wraps these names; one that is renamed or made
+    # private would only show as a missing name in a traced run
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    not_found = []
+    for name in layertrace.EXPECTED:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"spdconn.{layer}")
+        obj = getattr(module, attr, None)
+        if attr.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+            not_found.append(name)
+    assert layertrace.EXPECTED and not_found == []
