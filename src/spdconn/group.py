@@ -60,11 +60,30 @@ def check_parametrization(parametrization: str):
         )
 
 
+def _distinct(mats: np.ndarray):
+    """The distinct matrices of a stack (equal bytes) and the index that
+    gathers them back into its rows.  Without repeats these are ``mats``
+    itself and a full slice, so such a stack is neither copied nor gathered;
+    the byte keys are freed on return."""
+    index = {}
+    first = np.array([index.setdefault(m.tobytes(), s) for s, m in enumerate(mats)])
+    if len(index) == len(mats):
+        return mats, slice(None)
+    rows = np.flatnonzero(first == np.arange(len(mats)))
+    return mats[rows], np.searchsorted(rows, first)
+
+
 def _frechet(mats: np.ndarray, config: FrechetConfig):
     """Fixed point of the intrinsic mean; returns the mean, its inverse
-    square root, the iteration count and the gradient norm at exit."""
+    square root, the iteration count and the gradient norm at exit.
+
+    Each distinct matrix of ``mats`` is decomposed once per iteration; its
+    log is gathered back into every row that repeats it, so the mean sums
+    the same rows in the same order as without the saving.
+    """
     mean = symmetrize(mats.mean(axis=0))
     gradient_norm = np.inf
+    distinct, inverse = _distinct(mats)
 
     def sqrt_in_cone(eigvals):
         if eigvals.min() <= 0:
@@ -75,7 +94,7 @@ def _frechet(mats: np.ndarray, config: FrechetConfig):
 
     for iteration in range(config.max_iterations):
         root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
-        step = eig_apply(whiten(inv_root, mats), np.log).mean(axis=0)
+        step = eig_apply(whiten(inv_root, distinct), np.log)[inverse].mean(axis=0)
         gradient_norm = float(np.linalg.norm(step))
         if gradient_norm <= config.gradient_tolerance:
             return mean, inv_root, iteration, gradient_norm
@@ -103,7 +122,9 @@ def frechet_mean(mats, config: FrechetConfig | None = None, *, return_info: bool
     norm of the mean log-residual falls below the configured tolerance.
     The unit-step iteration converges quickly for populations clustered
     around a common center (the fitting use case); for widely spread inputs
-    raise ``max_iterations``.
+    raise ``max_iterations``.  A matrix repeated in ``mats`` (as in a
+    bootstrap resample) is decomposed once per iteration, with the same
+    result as decomposing every copy.
 
     Parameters
     ----------
@@ -302,19 +323,24 @@ def leave_one_out_scores(
 
     For each subject ``s``, fit the model on the remaining subjects and
     score ``s`` under it.  Each entry of ``others`` is scored under every
-    leave-one-out model and averaged.
+    leave-one-out model and averaged; its region names, when both groups
+    carry them, must be the subjects', in the same column order.
 
     Returns
     -------
     subject_scores : (S,) array
     other_scores : (len(others),) array
     """
-    mats, _ = as_correlation_matrices(subjects)
+    mats, names = as_correlation_matrices(subjects)
     others = list(others)
-    other_mats = as_correlation_matrices(others)[0] if others else []
+    other_mats, other_names = as_correlation_matrices(others) if others else ([], None)
     s_count = mats.shape[0]
     if s_count < 3:
         raise InvalidInputError("leave-one-out needs at least 3 subjects")
+    if names is not None and other_names is not None and other_names != names:
+        raise InvalidInputError(
+            f"subject regions {other_names} differ from the controls' {names}"
+        )
     subject_scores = np.empty(s_count)
     other_scores = np.zeros(len(other_mats))
     for left in range(s_count):

@@ -55,13 +55,25 @@ def empirical_pvalue(t, null_values):
 
     ``p = (1 + #{v in null : |v| >= |t|}) / (m + 1)``; always in
     ``(0, 1]`` and monotone non-increasing in ``|t|``.  ``null_values`` is
-    ``(m,)`` or ``(m, P)`` with one column per coordinate of ``t``.
+    ``(m,)`` or ``(m, P)`` with finite values, one column per coordinate
+    of ``t``; ``t`` broadcasts against a row of it, so it may be ``(P,)``
+    or ``(k, P)``.  The exceedances are counted by binary search in the
+    sorted ``|null|``, whose one copy is the only ``(m, P)`` temporary.
     """
-    null = np.asarray(null_values, dtype=np.float64)
+    null = np.abs(np.asarray(null_values, dtype=np.float64))
     if null.size == 0:
         raise InvalidInputError("empty null sample")
-    exceed = (np.abs(null) >= np.abs(t)).sum(axis=0)
-    return (1.0 + exceed) / (null.shape[0] + 1.0)
+    null.sort(axis=0)
+    m = null.shape[0]
+    t = np.abs(np.broadcast_to(t, np.broadcast_shapes(np.shape(t), null.shape[1:])))
+    if null.ndim == 1:
+        below = np.searchsorted(null, t, side="left")
+    else:
+        below = np.stack(
+            [np.searchsorted(col, t[..., p], side="left") for p, col in enumerate(null.T)],
+            axis=-1,
+        )
+    return (1.0 + (m - below)) / (m + 1.0)
 
 
 @dataclass(frozen=True)
@@ -244,15 +256,13 @@ def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
 
     ``mats`` is an already validated ``(k, n, n)`` stack; its residuals under
     ``null.model`` are compared with the control residuals stored on the
-    model, then each row of statistics with the null.  Returns ``t`` and
-    ``p``, both ``(k, n (n - 1) / 2)`` in canonical pair order.
+    model, then all rows of statistics with the null at once.  Returns
+    ``t`` and ``p``, both ``(k, n (n - 1) / 2)`` in canonical pair order.
     """
     model = null.model
     n_pairs = pair_count(model.n)
     t = t_statistic(model.residuals[:, :n_pairs], model.project(mats)[:, :n_pairs])
-    # one row at a time keeps the comparison with the null at (m, P)
-    p = np.stack([empirical_pvalue(row, null.values) for row in t])
-    return t, p
+    return t, empirical_pvalue(t, null.values)
 
 
 def test_patient(

@@ -19,9 +19,12 @@ from spdconn import (
     reconstruct,
     residual,
     sample_population,
+    sample_time_series,
     vec_dim,
     vec_unembed,
 )
+from spdconn.geometry import eig_apply, spd_expm, symmetrize, vec_embed, whiten
+from spdconn.group import fit_stack
 from helpers import random_invertible, random_orthogonal, random_spd
 
 seeds = st.integers(0, 2**31 - 1)
@@ -75,6 +78,63 @@ class TestFrechetMean:
             frechet_mean(mats, FrechetConfig(max_iterations=1, gradient_tolerance=1e-15))
         assert err.value.gradient_norm is not None
         assert err.value.gradient_norm > 0
+
+
+def decompose_every_row(stack, config=FrechetConfig()):
+    """Reference fit: the fixed point that decomposes every row of the stack,
+    repeated rows included; returns mean, residuals, sigma, iterations."""
+    mean = symmetrize(stack.mean(axis=0))
+    for iteration in range(config.max_iterations):
+        root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
+        step = eig_apply(whiten(inv_root, stack), np.log).mean(axis=0)
+        if np.linalg.norm(step) <= config.gradient_tolerance:
+            vecs = vec_embed(whiten(inv_root, stack) - np.eye(stack.shape[-1]))
+            return mean, vecs, float(np.sqrt(np.mean(vecs**2))), iteration
+        mean = symmetrize(root @ spd_expm(step) @ root)
+    raise AssertionError("reference fit did not converge")
+
+
+def bootstrap_resample(seed, n=6, s_count=20):
+    """A 20-row stack drawn with replacement from 19 distinct symmetric
+    members, as a bootstrap iteration draws it from the validated controls,
+    and its number of distinct members."""
+    rng = np.random.default_rng(seed)
+    members = symmetrize(
+        [0.4 * random_spd(rng, n) + 0.6 * np.eye(n) for _ in range(s_count - 1)]
+    )
+    pick = rng.choice(s_count - 1, size=s_count, replace=True)
+    return members[pick], len(set(pick.tolist()))
+
+
+class TestRepeatedMembers:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("copies", [False, True])
+    def test_fit_is_bit_identical_to_decomposing_every_row(self, seed, copies):
+        stack, distinct = bootstrap_resample(seed)
+        assert distinct < len(stack)
+        if copies:  # equal members as separately allocated arrays, validated
+            model = fit_from_matrices([m.copy() for m in stack])
+        else:
+            model = fit_stack(stack)
+        mean, vecs, sigma, iterations = decompose_every_row(stack)
+        assert np.array_equal(model.mean, mean)
+        assert np.array_equal(model.residuals, vecs)
+        assert model.sigma == sigma
+        assert model.frechet_iterations == iterations
+
+    def test_each_distinct_member_decomposed_once_per_iteration(self, monkeypatch):
+        stack, distinct = bootstrap_resample(3)
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            counted.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        it = fit_stack(stack).frechet_iterations
+        # per iteration: the mean and each distinct member; per step: expm
+        assert sum(counted) == (distinct + 1) * (it + 1) + it
 
 
 class TestResidual:
@@ -235,3 +295,14 @@ class TestLeaveOneOut:
             ]
         )
         assert np.isclose(others[0], manual)
+
+    def test_rejects_other_subjects_with_permuted_regions(self):
+        cfg = SimConfig(n=5, n_controls=7, sigma=0.08, seed=42, k_diffs=3)
+        *controls, patient = sample_time_series(cfg, t=60)
+        perm = [1, 0, 2, 3, 4]
+        swapped = TimeSeries(
+            patient.values[:, perm], [patient.region_names[k] for k in perm]
+        )
+        leave_one_out_scores(controls, [patient])
+        with pytest.raises(InvalidInputError, match="regions"):
+            leave_one_out_scores(controls, [swapped])

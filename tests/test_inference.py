@@ -90,6 +90,10 @@ class TestEmpiricalPvalue:
         t = np.array([0.0, 0.5, -1.0, 2.0, 10.0, null[3, 5]])
         columns = [empirical_pvalue(t[k], null[:, k]) for k in range(6)]
         assert empirical_pvalue(t, null).tolist() == columns
+        rows = np.stack([t, -t, null[7]])  # ties with null values included
+        dense = (1.0 + (np.abs(null) >= np.abs(rows[:, None, :])).sum(axis=1)) / 31.0
+        assert np.array_equal(empirical_pvalue(rows, null), dense)
+        assert np.array_equal(empirical_pvalue(rows, null)[1], empirical_pvalue(rows[1], null))
 
     def test_empty_null_raises(self):
         with pytest.raises(InvalidInputError):
