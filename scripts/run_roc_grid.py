@@ -22,12 +22,12 @@ from spdconn import SimConfig, roc_experiment
 from spdconn.simulate import cell_seed
 
 
-def run_cell(seed, n_jobs, **kw):
+def run_cell(seed, **kw):
     aucs = {}
     curves = {}
     for parametrization in ("tangent", "flat"):
         cfg = SimConfig(seed=seed, parametrization=parametrization, **kw)
-        curve = roc_experiment(cfg, n_jobs=n_jobs)
+        curve = roc_experiment(cfg)
         aucs[parametrization] = curve.auc
         curves[parametrization] = curve
     return aucs, curves
@@ -48,7 +48,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--m", type=int, default=1000, help="bootstrap iterations")
     ap.add_argument("--n-patients", type=int, default=10)
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     ap.add_argument(
         "--quick", action="store_true", help="small grid and m for a fast dry run"
     )
@@ -72,7 +71,7 @@ def main():
     rows, points = [], []
     for d in d_grid:
         aucs, curves = run_cell(
-            cell_seed(args.seed, cell), args.jobs,
+            cell_seed(args.seed, cell),
             n_controls=s0, sigma=sigma0, d_sigma=d, **base,
         )
         rows.append([d, aucs["tangent"], aucs["flat"]])
@@ -98,7 +97,7 @@ def main():
     rows = []
     for sigma in sigma_grid:
         aucs, _ = run_cell(
-            cell_seed(args.seed, cell), args.jobs,
+            cell_seed(args.seed, cell),
             n_controls=s0, sigma=sigma, d_sigma=2 * sigma0, **base,
         )
         rows.append([sigma, aucs["tangent"], aucs["flat"]])
@@ -114,7 +113,7 @@ def main():
     rows = []
     for s_count in s_grid:
         aucs, _ = run_cell(
-            cell_seed(args.seed, cell), args.jobs,
+            cell_seed(args.seed, cell),
             n_controls=s_count, sigma=sigma0, d_sigma=2 * sigma0, **base,
         )
         rows.append([s_count, aucs["tangent"], aucs["flat"]])

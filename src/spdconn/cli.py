@@ -25,11 +25,12 @@ from .exceptions import (
 from .group import (
     FLAT,
     TANGENT,
+    check_region_names,
     fit_group_model,
     leave_one_out_scores,
     log_likelihood,
 )
-from .inference import build_null, test_patient
+from .inference import build_null, check_alpha, test_patient
 from .simulate import SimConfig, cell_seed, roc_experiment
 
 _ERRORS = (
@@ -70,8 +71,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
+    check_alpha(args.alpha)
     controls = _load_series(args.controls)
     patient = sio.read_time_series(args.patient)
+    # refuse a mis-paired patient before the bootstrap, not after it
+    check_region_names(patient.region_names, controls[0].region_names)
     null = build_null(
         controls, args.m, args.seed, parametrization=args.parametrization
     )
@@ -112,7 +116,7 @@ def cmd_likelihood(args) -> int:
     model = sio.read_model(args.model)
     subjects = _load_series(args.subjects)
     for ts in subjects:
-        model.check_region_names(ts.region_names)
+        check_region_names(ts.region_names, model.region_names)
     print("subject\tlog_likelihood")
     for path, ts in zip(args.subjects, subjects):
         score = log_likelihood(model, correlation_matrix(ts))

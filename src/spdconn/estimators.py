@@ -15,6 +15,17 @@ from .exceptions import DegenerateInputError, InvalidInputError
 from .geometry import symmetrize, validate_spd
 
 
+def as_region_names(names, n: int) -> tuple[str, ...]:
+    """``names`` as a tuple of ``n`` distinct strings; raises
+    ``InvalidInputError`` for a wrong count or a repeated name."""
+    names = tuple(str(x) for x in names)
+    if len(names) != n:
+        raise InvalidInputError(f"{len(names)} region names for {n} regions")
+    if len(set(names)) != n:
+        raise InvalidInputError("region names must be unique")
+    return names
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Multivariate time series: ``values`` has one row per time point and
@@ -36,13 +47,7 @@ class TimeSeries:
         if names is None:
             names = tuple(f"r{k:02d}" for k in range(v.shape[1]))
         else:
-            names = tuple(str(x) for x in names)
-            if len(names) != v.shape[1]:
-                raise InvalidInputError(
-                    f"{len(names)} region names for {v.shape[1]} columns"
-                )
-            if len(set(names)) != len(names):
-                raise InvalidInputError("region names must be unique")
+            names = as_region_names(names, v.shape[1])
         object.__setattr__(self, "region_names", names)
 
     @property

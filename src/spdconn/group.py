@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimators import as_correlation_matrices
+from .estimators import as_correlation_matrices, as_region_names
 from .exceptions import ConvergenceError, DegenerateModelError, InvalidInputError
 from .geometry import (
     TangentVector,
@@ -172,6 +172,16 @@ def reconstruct(group_mean, deviation) -> np.ndarray:
     return symmetrize(root @ (np.eye(root.shape[0]) + w) @ root)
 
 
+def check_region_names(names, controls):
+    """Raise ``InvalidInputError`` when a subject's region names and the
+    controls' are both known and differ, in names or in column order."""
+    if names is not None and controls is not None:
+        if tuple(names) != tuple(controls):
+            raise InvalidInputError(
+                f"subject regions {tuple(names)} differ from the controls' {tuple(controls)}"
+            )
+
+
 @dataclass(frozen=True)
 class GroupModel:
     """Fitted group model: central matrix, isotropic dispersion, residuals.
@@ -205,15 +215,6 @@ class GroupModel:
         matrices ``(..., n, n)`` under this model's parametrization."""
         return vec_embed(_deviations(self.mean, self.inv_root, mats))
 
-    def check_region_names(self, names):
-        """Raise ``InvalidInputError`` when a subject's region names and the
-        model's are both known and differ, in names or in column order."""
-        if names is not None and self.region_names is not None:
-            if tuple(names) != self.region_names:
-                raise InvalidInputError(
-                    f"subject regions {tuple(names)} differ from the model's {self.region_names}"
-                )
-
 
 def fit_stack(
     stack: np.ndarray,
@@ -230,11 +231,8 @@ def fit_stack(
     check_parametrization(parametrization)
     if stack.shape[0] < 2:
         raise InvalidInputError("need at least 2 subjects to fit a group model")
-    n = stack.shape[-1]
     if region_names is not None:
-        region_names = tuple(region_names)
-        if len(region_names) != n:
-            raise InvalidInputError(f"{len(region_names)} region names for n={n}")
+        region_names = as_region_names(region_names, stack.shape[-1])
     if parametrization == TANGENT:
         fit = _frechet(stack, config or FrechetConfig())
     else:
@@ -337,10 +335,7 @@ def leave_one_out_scores(
     s_count = mats.shape[0]
     if s_count < 3:
         raise InvalidInputError("leave-one-out needs at least 3 subjects")
-    if names is not None and other_names is not None and other_names != names:
-        raise InvalidInputError(
-            f"subject regions {other_names} differ from the controls' {names}"
-        )
+    check_region_names(other_names, names)
     subject_scores = np.empty(s_count)
     other_scores = np.zeros(len(other_mats))
     for left in range(s_count):

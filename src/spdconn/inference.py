@@ -12,8 +12,6 @@ Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +23,7 @@ from .group import (
     FrechetConfig,
     GroupModel,
     check_parametrization,
+    check_region_names,
     fit_stack,
 )
 from .geometry import pair_count, tril_pairs
@@ -147,46 +146,6 @@ class TestReport:
 _FIT_FAILURES = (ConvergenceError, NearSingularError, np.linalg.LinAlgError)
 
 
-def _null_rows(args):
-    """Bootstrap iterations [start, stop) of the null; order-independent.
-
-    Every iteration draws from its own generator seeded by (seed,
-    iteration), so results do not depend on how iterations are distributed
-    over workers.  Returns the statistic rows and the per-iteration count of
-    discarded (failed) fits.
-    """
-    mats, start, stop, m, seed, parametrization, config = args
-    s_count, n = mats.shape[0], mats.shape[-1]
-    n_pairs = pair_count(n)
-    rows = np.empty((stop - start, n_pairs))
-    failures = np.zeros(stop - start, dtype=np.int64)
-    # An iteration that keeps failing is abandoned once it alone would push
-    # the total failure rate over the abort threshold.
-    retry_cap = max(1, math.ceil(0.1 * m) + 1)
-    indices = np.arange(s_count)
-    for it in range(start, stop):
-        rng = np.random.default_rng([seed, it])
-        for _ in range(retry_cap):
-            left = int(rng.integers(s_count))
-            rest = indices[indices != left]
-            surrogate = mats[rng.choice(rest, size=s_count, replace=True)]
-            try:
-                model = fit_stack(surrogate, config, parametrization)
-                left_vec = model.project(mats[left])
-            except _FIT_FAILURES:
-                failures[it - start] += 1
-                continue
-            rows[it - start] = t_statistic(
-                model.residuals[:, :n_pairs], left_vec[:n_pairs]
-            )
-            break
-        else:
-            raise ConvergenceError(
-                f"bootstrap iteration {it} failed {retry_cap} times in a row"
-            )
-    return rows, failures
-
-
 def build_null(
     controls,
     m: int = 1000,
@@ -194,7 +153,6 @@ def build_null(
     *,
     parametrization: str = TANGENT,
     config: FrechetConfig | None = None,
-    n_jobs: int = 1,
 ) -> NullDistribution:
     """Build the per-pair null distribution by leave-one-out bootstrap.
 
@@ -210,10 +168,8 @@ def build_null(
         statistics.
     seed : int
         Master seed; iteration ``k`` uses generator seed ``(seed, k)``, so
-        the result is reproducible and independent of execution order or
-        parallelism.
-    n_jobs : int
-        Worker processes (1 = in-process, -1 = all cores).
+        the result is reproducible and row ``k`` does not depend on ``m``
+        or on the order in which iterations run.
 
     Raises
     ------
@@ -224,25 +180,37 @@ def build_null(
     if m < 1:
         raise InvalidInputError("bootstrap count m must be >= 1")
     mats, names = as_correlation_matrices(controls)
-    if mats.shape[0] < 3:
+    s_count = mats.shape[0]
+    if s_count < 3:
         raise InvalidInputError("need at least 3 controls to build a null")
 
-    if n_jobs == -1:
-        n_jobs = max(1, len(os.sched_getaffinity(0)))
-    n_jobs = max(1, min(n_jobs, m))
-    bounds = np.linspace(0, m, 4 * n_jobs + 1).astype(int) if n_jobs > 1 else [0, m]
-    tasks = [
-        (mats, int(a), int(b), m, seed, parametrization, config)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if n_jobs == 1:
-        results = [_null_rows(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_null_rows, tasks))
-    values = np.concatenate([r[0] for r in results])
-    n_failures = int(sum(r[1].sum() for r in results))
+    n_pairs = pair_count(mats.shape[-1])
+    values = np.empty((m, n_pairs))
+    n_failures = 0
+    # An iteration that keeps failing is abandoned once it alone would push
+    # the total failure rate over the abort threshold.
+    retry_cap = max(1, math.ceil(0.1 * m) + 1)
+    indices = np.arange(s_count)
+    for it in range(m):
+        rng = np.random.default_rng([seed, it])
+        for _ in range(retry_cap):
+            left = int(rng.integers(s_count))
+            rest = indices[indices != left]
+            surrogate = mats[rng.choice(rest, size=s_count, replace=True)]
+            try:
+                model = fit_stack(surrogate, config, parametrization)
+                left_vec = model.project(mats[left])
+            except _FIT_FAILURES:
+                n_failures += 1
+                continue
+            values[it] = t_statistic(
+                model.residuals[:, :n_pairs], left_vec[:n_pairs]
+            )
+            break
+        else:
+            raise ConvergenceError(
+                f"bootstrap iteration {it} failed {retry_cap} times in a row"
+            )
     if n_failures > 0.1 * m:
         raise ConvergenceError(
             f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)"
@@ -265,6 +233,12 @@ def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
     return t, empirical_pvalue(t, null.values)
 
 
+def check_alpha(alpha: float):
+    """Raise ``InvalidInputError`` unless ``0 < alpha <= 1``."""
+    if not 0 < alpha <= 1:
+        raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
+
+
 def test_patient(
     patient,
     null: NullDistribution,
@@ -279,15 +253,14 @@ def test_patient(
     column.  Raw p-values are Bonferroni-corrected over the
     ``n (n - 1) / 2`` pairs.
     """
-    if not 0 < alpha <= 1:
-        raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
+    check_alpha(alpha)
     model = null.model
     patient_mats, names = as_correlation_matrices([patient])
     if patient_mats.shape[1:] != model.mean.shape:
         raise InvalidInputError(
             f"patient has shape {patient_mats.shape[1:]}, controls are {model.mean.shape}"
         )
-    model.check_region_names(names)
+    check_region_names(names, model.region_names)
     (t_row,), (p_raw,) = score(null, patient_mats)
     n_pairs = pair_count(model.n)
     p_corr = np.minimum(1.0, p_raw * n_pairs)

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .estimators import TimeSeries
+from .estimators import TimeSeries, as_region_names
 from .exceptions import InvalidInputError
 from .geometry import validate_spd
 from .group import TANGENT, GroupModel
@@ -112,20 +112,26 @@ def read_model(path) -> GroupModel:
         values = np.asarray(doc["sigma_star"], dtype=np.float64)
         sigma = float(doc["sigma"])
         n_subjects = int(doc["n_subjects"])
+        names = doc.get("region_names")
+        names = as_region_names(names, n) if names else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed model document: {exc}") from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    # sigma == 0 is legitimate: a fit to identical subjects writes it
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidInputError(f"{path}: sigma must be finite and >= 0, got {sigma!r}")
     if values.size != n * n:
         raise InvalidInputError(
             f"{path}: sigma_star has {values.size} values, expected {n * n}"
         )
     mean = validate_spd(values.reshape(n, n))
-    names = doc.get("region_names")
     return GroupModel(
         mean=mean,
         sigma=sigma,
         n_subjects=n_subjects,
         parametrization=TANGENT,
-        region_names=tuple(names) if names else None,
+        region_names=names,
     )
 
 

@@ -24,7 +24,7 @@ from .geometry import (
     vec_dim,
     vec_unembed,
 )
-from .group import TANGENT, FrechetConfig, check_parametrization, reconstruct
+from .group import TANGENT, check_parametrization, reconstruct
 from .inference import build_null, score
 
 
@@ -233,8 +233,6 @@ def simulate_patients(cfg: SimConfig, rng):
 def roc_experiment(
     cfg: SimConfig,
     *,
-    config: FrechetConfig | None = None,
-    n_jobs: int = 1,
     return_details: bool = False,
 ):
     """Run the full detection pipeline on one simulated experiment.
@@ -258,8 +256,6 @@ def roc_experiment(
         cfg.m,
         null_seed,
         parametrization=cfg.parametrization,
-        config=config,
-        n_jobs=n_jobs,
     )
     patients, labels, patients_clipped = simulate_patients(
         cfg, np.random.default_rng(ss_patients)

@@ -6,7 +6,6 @@ complete.  The simulation-heavy checks take a few minutes in total.
 
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
@@ -35,8 +34,6 @@ from spdconn.simulate import cell_seed
 from helpers import random_invertible, random_orthogonal, random_spd, random_symmetric
 
 from test_estimators import ledoit_wolf_oracle
-
-N_JOBS = min(2, os.cpu_count() or 1)
 
 
 def report(number, name, ok, detail=""):
@@ -206,7 +203,7 @@ def test_05_null_calibration():
         cfg = SimConfig(n=n, n_controls=s_count, sigma=0.1, seed=cell_seed(505, rep))
         mats, _ = sample_population(cfg)
         patient, _ = sample_population(cfg, rng=np.random.default_rng([505, rep, 1]), size=1)
-        null = build_null(mats, m=m, seed=cell_seed(606, rep), n_jobs=N_JOBS)
+        null = build_null(mats, m=m, seed=cell_seed(606, rep))
         rep_report = test_patient(patient[0], null)
         p_raw = np.array([p.p_raw for p in rep_report.pairs])
         rates.append(float((p_raw < 0.05).mean()))
@@ -221,9 +218,9 @@ def test_05_null_calibration():
 
 def test_06_detection_power():
     base = dict(n=33, n_controls=20, sigma=0.1, k_diffs=20, m=1000, n_patients=10)
-    strong = roc_experiment(SimConfig(d_sigma=0.2, seed=616, **base), n_jobs=N_JOBS)
+    strong = roc_experiment(SimConfig(d_sigma=0.2, seed=616, **base))
     null_cfg = SimConfig(d_sigma=0.0, seed=626, **base)
-    chance = roc_experiment(null_cfg, n_jobs=N_JOBS)
+    chance = roc_experiment(null_cfg)
     ok = strong.auc >= 0.9 and 0.45 <= chance.auc <= 0.55
     report(
         6,
@@ -241,12 +238,12 @@ def test_07_tangent_beats_flat():
         cfg = SimConfig(
             sigma=sigma, d_sigma=2 * sigma, seed=cell_seed(707, idx), **base
         )
-        curve_t, details_t = roc_experiment(cfg, n_jobs=N_JOBS, return_details=True)
+        curve_t, details_t = roc_experiment(cfg, return_details=True)
         cfg_flat = SimConfig(
             sigma=sigma, d_sigma=2 * sigma, seed=cell_seed(707, idx),
             parametrization="flat", **base,
         )
-        curve_f, details_f = roc_experiment(cfg_flat, n_jobs=N_JOBS, return_details=True)
+        curve_f, details_f = roc_experiment(cfg_flat, return_details=True)
         wins += curve_t.auc >= curve_f.auc
         aucs_t.append(curve_t.auc)
         aucs_f.append(curve_f.auc)

@@ -73,6 +73,22 @@ class TestTimeSeriesIO:
         assert "bad.csv" in str(err.value)
 
 
+def write_model_doc(tmp_path, **fields):
+    """A valid two-region model document with ``fields`` replaced."""
+    doc = {
+        "schema_version": 1,
+        "n": 2,
+        "region_names": ["a", "b"],
+        "sigma_star": [1.0, 0.3, 0.3, 1.0],
+        "sigma": 0.1,
+        "n_subjects": 3,
+        **fields,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestModelIO:
     def test_roundtrip_exact(self, tmp_path, rng):
         cfg = SimConfig(n=6, n_controls=5, sigma=0.07, seed=3, k_diffs=3)
@@ -111,6 +127,36 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(Exception):
             sio.read_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma", float("nan")),
+            ("sigma", float("inf")),
+            ("sigma", float("-inf")),
+            ("sigma", -0.1),
+            ("region_names", ["a"]),
+            ("region_names", ["a", "b", "c"]),
+            ("region_names", ["a", "a"]),
+        ],
+        ids=[
+            "nan-sigma", "inf-sigma", "minus-inf-sigma", "negative-sigma",
+            "too-few-names", "too-many-names", "repeated-names",
+        ],
+    )
+    def test_rejects_untrustworthy_fields(self, tmp_path, rng, field, value):
+        from spdconn import TimeSeries
+
+        path = write_model_doc(tmp_path, **{field: value})
+        with pytest.raises(InvalidInputError, match="model.json"):
+            sio.read_model(path)
+        subject = tmp_path / "s.csv"
+        write_series_csv(subject, TimeSeries(rng.standard_normal((30, 2)), ("a", "b")))
+        assert main(["likelihood", "--model", str(path), str(subject)]) == 1
+
+    def test_accepts_zero_sigma(self, tmp_path):
+        # a fit to identical subjects writes sigma 0
+        assert sio.read_model(write_model_doc(tmp_path, sigma=0.0)).sigma == 0.0
 
 
 class TestCliFit:
@@ -211,6 +257,33 @@ class TestCliTest:
         ]
         assert main(args) == 0
         assert len(calls) == len(demo["controls"]) + 1
+
+    @pytest.mark.parametrize("case", ["alpha", "regions"])
+    def test_rejects_bad_arguments_before_bootstrap(self, demo, tmp_path, monkeypatch, case):
+        from spdconn import TimeSeries, group, inference
+
+        fits = []
+        original = group.fit_stack
+
+        def counting(*args, **kwargs):
+            fits.append(1)
+            return original(*args, **kwargs)
+
+        for module in (group, inference):
+            monkeypatch.setattr(module, "fit_stack", counting)
+        patient, extra = demo["patient"], []
+        if case == "alpha":
+            extra = ["--alpha", "1.5"]
+        else:
+            ts = sio.read_time_series(patient)
+            patient = str(tmp_path / "permuted.csv")
+            write_series_csv(patient, TimeSeries(ts.values, ts.region_names[::-1]))
+        args = [
+            "test", "--controls", *demo["controls"], "--patient", patient,
+            "--m", "50", "--out", str(tmp_path / "r.csv"), *extra,
+        ]
+        assert main(args) == 1
+        assert fits == []
 
     def test_seed_changes_report(self, demo, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
