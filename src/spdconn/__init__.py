@@ -27,7 +27,6 @@ from .exceptions import (
 )
 from .geometry import (
     SPD_EIG_FLOOR,
-    TangentVector,
     clip_spd,
     geodesic_distance,
     pair_count,
@@ -54,7 +53,6 @@ from .group import (
     leave_one_out_scores,
     log_likelihood,
     reconstruct,
-    residual,
 )
 from .inference import (
     NullDistribution,

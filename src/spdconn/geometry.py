@@ -9,8 +9,7 @@ shape ``(..., n, n)`` and broadcast over the leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -31,14 +30,14 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _check_finite(m, what="matrix"):
+def _check_finite(m):
     if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{what} contains non-finite entries")
+        raise InvalidInputError("matrix contains non-finite entries")
 
 
-def _check_square(m, what="matrix"):
+def _check_square(m):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InvalidInputError(f"{what} must be square, got shape {m.shape}")
+        raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
 
 
 def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
@@ -220,40 +219,12 @@ def vec_unembed(v, n: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Symmetric matrix in the whitened tangent frame.
-
-    Carries both the matrix view and (lazily) its orthonormal coordinates;
-    the coordinate norm equals the Frobenius norm of the matrix.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        _check_square(m, "tangent matrix")
-        _check_finite(m, "tangent matrix")
-        object.__setattr__(self, "matrix", symmetrize(m))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[-1]
-
-    @cached_property
-    def vec(self) -> np.ndarray:
-        return vec_embed(self.matrix)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-def tangent_map(base, target) -> TangentVector:
+def tangent_map(base, target) -> np.ndarray:
     """Map ``target`` to the tangent frame of ``base``.
 
     Computes ``logm(base ** -1/2 @ target @ base ** -1/2)``, i.e. the
-    deviation of ``target`` from ``base`` after whitening by the base.
+    deviation of ``target`` from ``base`` after whitening by the base, as a
+    symmetric matrix.
     """
     base = validate_spd(base)
     target = validate_spd(target)
@@ -262,23 +233,23 @@ def tangent_map(base, target) -> TangentVector:
             f"dimension mismatch: base {base.shape} vs target {target.shape}"
         )
     _, inv_root = spd_sqrtm(base)
-    return TangentVector(spd_logm(whiten(inv_root, target)))
+    return spd_logm(whiten(inv_root, target))
 
 
 def tangent_inverse_map(base, w) -> np.ndarray:
-    """Map a tangent vector at ``base`` back to the SPD cone.
+    """Map a symmetric tangent matrix ``w`` at ``base`` back to the SPD cone.
 
     Exact inverse of :func:`tangent_map`:
     ``base ** 1/2 @ expm(w) @ base ** 1/2``.
     """
     base = validate_spd(base)
-    wm = w.matrix if isinstance(w, TangentVector) else symmetrize(w)
-    if base.shape != wm.shape:
+    w = np.asarray(w, dtype=np.float64)
+    if base.shape != w.shape:
         raise InvalidInputError(
-            f"dimension mismatch: base {base.shape} vs tangent {wm.shape}"
+            f"dimension mismatch: base {base.shape} vs tangent {w.shape}"
         )
     root, _ = spd_sqrtm(base)
-    return symmetrize(root @ spd_expm(wm) @ root)
+    return symmetrize(root @ spd_expm(w) @ root)
 
 
 def geodesic_distance(a, b) -> float:
@@ -287,4 +258,4 @@ def geodesic_distance(a, b) -> float:
     Frobenius norm of the whitened log deviation; invariant under congruence
     ``m -> g @ m @ g.T`` by any invertible ``g``.
     """
-    return float(np.linalg.norm(tangent_map(a, b).matrix))
+    return float(np.linalg.norm(tangent_map(a, b)))

@@ -16,7 +16,6 @@ import numpy as np
 from .estimators import as_correlation_matrices, as_region_names
 from .exceptions import ConvergenceError, DegenerateModelError, InvalidInputError
 from .geometry import (
-    TangentVector,
     eig_apply,
     spd_expm,
     spd_sqrtm,
@@ -44,12 +43,6 @@ class FrechetConfig:
             raise InvalidInputError("max_iterations must be >= 1")
         if not self.gradient_tolerance > 0:
             raise InvalidInputError("gradient_tolerance must be > 0")
-
-
-@dataclass(frozen=True)
-class FrechetInfo:
-    iterations: int
-    gradient_norm: float
 
 
 def check_parametrization(parametrization: str):
@@ -114,7 +107,7 @@ def _deviations(mean, inv_root, mats) -> np.ndarray:
     return whiten(inv_root, mats) - np.eye(mean.shape[-1])
 
 
-def frechet_mean(mats, config: FrechetConfig | None = None, *, return_info: bool = False):
+def frechet_mean(mats, config: FrechetConfig | None = None) -> np.ndarray:
     """Intrinsic mean of SPD matrices under the affine-invariant metric.
 
     Fixed-point iteration ``M <- M^1/2 expm(mean_s logm(M^-1/2 A_s M^-1/2))
@@ -124,15 +117,13 @@ def frechet_mean(mats, config: FrechetConfig | None = None, *, return_info: bool
     around a common center (the fitting use case); for widely spread inputs
     raise ``max_iterations``.  A matrix repeated in ``mats`` (as in a
     bootstrap resample) is decomposed once per iteration, with the same
-    result as decomposing every copy.
+    result as decomposing every copy.  The iteration count and the
+    gradient norm at exit are kept on the model of :func:`fit_from_matrices`.
 
     Parameters
     ----------
     mats : sequence of (n, n) SPD arrays
     config : FrechetConfig, optional
-    return_info : bool
-        If true, also return a `FrechetInfo` with the iteration count and
-        the gradient norm at exit.
 
     Raises
     ------
@@ -141,35 +132,15 @@ def frechet_mean(mats, config: FrechetConfig | None = None, *, return_info: bool
         last gradient norm.
     """
     stack = np.stack([validate_spd(m) for m in mats])
-    mean, _, iterations, gradient_norm = _frechet(stack, config or FrechetConfig())
-    if return_info:
-        return mean, FrechetInfo(iterations, gradient_norm)
-    return mean
-
-
-def residual(group_mean, subject) -> TangentVector:
-    """Linearized deviation of ``subject`` from ``group_mean``.
-
-    Whitens the subject by the group mean and subtracts the identity.
-    Exactly inverted by :func:`reconstruct`.
-    """
-    group_mean = validate_spd(group_mean)
-    subject = validate_spd(subject)
-    if group_mean.shape != subject.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: mean {group_mean.shape} vs subject {subject.shape}"
-        )
-    _, inv_root = spd_sqrtm(group_mean)
-    return TangentVector(_deviations(group_mean, inv_root, subject))
+    return _frechet(stack, config or FrechetConfig())[0]
 
 
 def reconstruct(group_mean, deviation) -> np.ndarray:
-    """Place a tangent deviation back at the group mean (inverse of
-    :func:`residual`): ``mean^1/2 (I + deviation) mean^1/2``.  A stack of
-    deviations ``(..., n, n)`` gives a stack of matrices."""
-    w = deviation.matrix if isinstance(deviation, TangentVector) else symmetrize(deviation)
+    """Place tangent deviations ``(..., n, n)`` back at the group mean:
+    ``mean^1/2 (I + deviation) mean^1/2``.  Inverse of the tangent
+    :meth:`GroupModel.project`, whose coordinates ``vec_unembed`` unpacks."""
     root, _ = spd_sqrtm(group_mean)
-    return symmetrize(root @ (np.eye(root.shape[0]) + w) @ root)
+    return symmetrize(root @ (np.eye(root.shape[0]) + symmetrize(deviation)) @ root)
 
 
 def check_region_names(names, controls):
@@ -285,6 +256,21 @@ def fit_group_model(
     return fit_stack(mats, config, parametrization, region_names=names)
 
 
+def _log_density(model: GroupModel, mats) -> np.ndarray:
+    """Log densities of validated SPD matrices ``(..., n, n)`` under the
+    isotropic residual model; one value per matrix."""
+    if model.sigma <= 0:
+        raise DegenerateModelError(
+            "model has zero dispersion; likelihood is degenerate"
+        )
+    r = model.project(mats)
+    d = vec_dim(model.n)
+    s2 = model.sigma**2
+    # a row product keeps the summation order of a 1-D dot for every row
+    sq_norm = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    return -0.5 * d * np.log(2.0 * np.pi * s2) - 0.5 * sq_norm / s2
+
+
 def log_likelihood(model: GroupModel, subject) -> float:
     """Log density of a subject matrix under the isotropic residual model.
 
@@ -293,22 +279,12 @@ def log_likelihood(model: GroupModel, subject) -> float:
     meaningful; the constant is the Gaussian normalization on the residual
     coordinate space.
     """
-    if model.sigma <= 0:
-        raise DegenerateModelError(
-            "model has zero dispersion; likelihood is degenerate"
-        )
     subject = validate_spd(subject)
     if subject.shape != model.mean.shape:
         raise InvalidInputError(
             f"subject has shape {subject.shape}, model is {model.mean.shape}"
         )
-    r = model.project(subject)
-    d = vec_dim(model.n)
-    s2 = model.sigma**2
-    return float(
-        -0.5 * d * np.log(2.0 * np.pi * s2)
-        - 0.5 * np.dot(r, r) / s2
-    )
+    return float(_log_density(model, subject))
 
 
 def leave_one_out_scores(
@@ -321,8 +297,9 @@ def leave_one_out_scores(
 
     For each subject ``s``, fit the model on the remaining subjects and
     score ``s`` under it.  Each entry of ``others`` is scored under every
-    leave-one-out model and averaged; its region names, when both groups
-    carry them, must be the subjects', in the same column order.
+    leave-one-out model and averaged; it must have the subjects' dimension
+    and, when both groups carry region names, their names in the same
+    column order.
 
     Returns
     -------
@@ -331,19 +308,22 @@ def leave_one_out_scores(
     """
     mats, names = as_correlation_matrices(subjects)
     others = list(others)
-    other_mats, other_names = as_correlation_matrices(others) if others else ([], None)
+    other_mats, other_names = as_correlation_matrices(others) if others else (mats[:0], None)
     s_count = mats.shape[0]
     if s_count < 3:
         raise InvalidInputError("leave-one-out needs at least 3 subjects")
+    if other_mats.shape[1:] != mats.shape[1:]:
+        raise InvalidInputError(
+            f"other subjects are {other_mats.shape[1:]}, subjects are {mats.shape[1:]}"
+        )
     check_region_names(other_names, names)
     subject_scores = np.empty(s_count)
     other_scores = np.zeros(len(other_mats))
     for left in range(s_count):
         rest = np.delete(mats, left, axis=0)
         model = fit_stack(rest, config, parametrization)
-        subject_scores[left] = log_likelihood(model, mats[left])
-        for k, om in enumerate(other_mats):
-            other_scores[k] += log_likelihood(model, om)
-    if len(other_mats):
-        other_scores /= s_count
+        scores = _log_density(model, np.concatenate([mats[left : left + 1], other_mats]))
+        subject_scores[left] = scores[0]
+        other_scores += scores[1:]
+    other_scores /= s_count
     return subject_scores, other_scores

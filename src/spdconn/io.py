@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .estimators import TimeSeries, as_region_names
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, NearSingularError
 from .geometry import validate_spd
 from .group import TANGENT, GroupModel
 from .inference import TestReport
@@ -116,8 +116,6 @@ def read_model(path) -> GroupModel:
         names = as_region_names(names, n) if names else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed model document: {exc}") from None
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
     # sigma == 0 is legitimate: a fit to identical subjects writes it
     if not (np.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"{path}: sigma must be finite and >= 0, got {sigma!r}")
@@ -125,7 +123,10 @@ def read_model(path) -> GroupModel:
         raise InvalidInputError(
             f"{path}: sigma_star has {values.size} values, expected {n * n}"
         )
-    mean = validate_spd(values.reshape(n, n))
+    try:
+        mean = validate_spd(values.reshape(n, n))
+    except (InvalidInputError, NearSingularError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     return GroupModel(
         mean=mean,
         sigma=sigma,

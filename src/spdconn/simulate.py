@@ -16,7 +16,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError, InvalidInputError
 from .geometry import (
-    TangentVector,
     clip_spd,
     pair_count,
     tril_pairs,
@@ -136,29 +135,29 @@ def sample_population(
 
 
 def inject_differences(
-    base_residual: TangentVector, cfg: SimConfig, *, rng=None
-) -> tuple[TangentVector, tuple[tuple[int, int], ...]]:
-    """Add patient differences to a tangent noise matrix.
+    base_residual: np.ndarray, cfg: SimConfig, *, rng=None
+) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Add patient differences to an ``(n, n)`` tangent noise matrix.
 
     Selects ``k_diffs`` distinct off-diagonal pairs uniformly and adds
     ``d_sigma`` with a random sign to each selected coefficient (both
-    symmetric entries).  Returns the modified residual and the ground-truth
-    pairs ``(i, j)`` with ``j < i``.
+    symmetric entries).  Returns the modified residual as a new array and
+    the ground-truth pairs ``(i, j)`` with ``j < i``.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    n = base_residual.n
+    n = base_residual.shape[-1]
     if cfg.k_diffs > pair_count(n):
         raise ConfigurationError("k_diffs exceeds the number of pairs")
     ii, jj = tril_pairs(n)
     chosen = rng.choice(pair_count(n), size=cfg.k_diffs, replace=False)
     signs = rng.choice([-1.0, 1.0], size=cfg.k_diffs)
-    w = base_residual.matrix.copy()
+    w = np.array(base_residual, dtype=np.float64)
     w[ii[chosen], jj[chosen]] += signs * cfg.d_sigma
     w[jj[chosen], ii[chosen]] += signs * cfg.d_sigma
     pairs = tuple(
         (int(i), int(j)) for i, j in zip(ii[chosen], jj[chosen])
     )
-    return TangentVector(w), pairs
+    return w, pairs
 
 
 def sample_time_series(
@@ -221,9 +220,8 @@ def simulate_patients(cfg: SimConfig, rng):
     deviations = np.empty((cfg.n_patients, n, n))
     labels = np.zeros((cfg.n_patients, pair_count(n)), dtype=bool)
     for p in range(cfg.n_patients):
-        base = TangentVector(vec_unembed(rng.normal(0.0, cfg.sigma, d), n))
-        injected, pairs = inject_differences(base, cfg, rng=rng)
-        deviations[p] = injected.matrix
+        base = vec_unembed(rng.normal(0.0, cfg.sigma, d), n)
+        deviations[p], pairs = inject_differences(base, cfg, rng=rng)
         for pair in pairs:
             labels[p, pair_index[pair]] = True
     mats = reconstruct(group, deviations)

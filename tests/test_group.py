@@ -17,9 +17,9 @@ from spdconn import (
     leave_one_out_scores,
     log_likelihood,
     reconstruct,
-    residual,
     sample_population,
     sample_time_series,
+    validate_spd,
     vec_dim,
     vec_unembed,
 )
@@ -63,8 +63,9 @@ class TestFrechetMean:
     def test_gradient_condition_at_exit(self, rng):
         mats = [random_spd(rng, 5) for _ in range(6)]
         cfg = FrechetConfig(gradient_tolerance=1e-9)
-        mean, info = frechet_mean(mats, cfg, return_info=True)
-        assert info.gradient_norm <= 1e-9
+        model = fit_from_matrices(mats, cfg)
+        mean = model.mean
+        assert model.gradient_norm <= 1e-9
         # verify independently: mean log of whitened matrices
         from spdconn import spd_logm, spd_sqrtm
 
@@ -137,25 +138,28 @@ class TestRepeatedMembers:
         assert sum(counted) == (distinct + 1) * (it + 1) + it
 
 
+def deviation(mean, subject) -> np.ndarray:
+    """Tangent deviation of ``subject`` at ``mean`` as an ``(n, n)`` array,
+    from the coordinates of :meth:`GroupModel.project`."""
+    model = GroupModel(mean=validate_spd(mean), sigma=1.0, n_subjects=2)
+    return vec_unembed(model.project(validate_spd(subject)), model.n)
+
+
 class TestResidual:
     def test_residual_of_self_is_zero(self, rng):
         a = random_spd(rng, 4)
-        assert residual(a, a).norm < 1e-12
+        assert np.linalg.norm(deviation(a, a)) < 1e-12
 
     def test_whitening_by_identity(self):
-        out = residual(np.eye(2), np.diag([4.0, 1.0]))
-        assert np.allclose(out.matrix, np.diag([3.0, 0.0]), atol=1e-14)
+        out = deviation(np.eye(2), np.diag([4.0, 1.0]))
+        assert np.allclose(out, np.diag([3.0, 0.0]), atol=1e-14)
 
     @given(seeds)
     def test_reconstruct_inverts_residual(self, seed):
         rng = np.random.default_rng(seed)
         mean, subject = random_spd(rng, 4), random_spd(rng, 4)
-        back = reconstruct(mean, residual(mean, subject))
+        back = reconstruct(mean, deviation(mean, subject))
         assert np.linalg.norm(back - subject) / np.linalg.norm(subject) < 1e-12
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(InvalidInputError):
-            residual(random_spd(rng, 3), random_spd(rng, 4))
 
 
 class TestFitGroupModel:
@@ -276,6 +280,11 @@ class TestLogLikelihood:
         with pytest.raises(DegenerateModelError):
             log_likelihood(model, a)
 
+    def test_dimension_mismatch(self, rng):
+        model = GroupModel(mean=random_spd(rng, 3), sigma=1.0, n_subjects=3)
+        with pytest.raises(InvalidInputError, match="shape"):
+            log_likelihood(model, random_spd(rng, 4))
+
 
 class TestLeaveOneOut:
     def test_scores_match_manual_fit(self, rng):
@@ -306,3 +315,19 @@ class TestLeaveOneOut:
         leave_one_out_scores(controls, [patient])
         with pytest.raises(InvalidInputError, match="regions"):
             leave_one_out_scores(controls, [swapped])
+
+    def test_rejects_other_dimension(self, rng, monkeypatch):
+        from spdconn import group
+
+        fits = []
+        original = group.fit_stack
+
+        def counting(*args, **kwargs):
+            fits.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(group, "fit_stack", counting)
+        mats = [random_spd(rng, 4) * 0.4 + 0.6 * np.eye(4) for _ in range(4)]
+        with pytest.raises(InvalidInputError):
+            leave_one_out_scores(mats, [np.eye(3)])
+        assert fits == []

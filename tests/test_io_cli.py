@@ -114,18 +114,23 @@ class TestModelIO:
         assert doc["schema_version"] == 1
         assert len(doc["sigma_star"]) == 16
 
-    def test_rejects_corrupt_matrix(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sigma_star",
+        [[1.0, 2.0, 2.0, 1.0], [1.0, float("nan"), float("nan"), 1.0]],
+        ids=["indefinite", "nan"],
+    )
+    def test_rejects_corrupt_matrix(self, tmp_path, sigma_star):
         doc = {
             "schema_version": 1,
             "n": 2,
             "region_names": None,
-            "sigma_star": [1.0, 2.0, 2.0, 1.0],  # indefinite
+            "sigma_star": sigma_star,
             "sigma": 0.1,
             "n_subjects": 3,
         }
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInputError, match="model.json"):
             sio.read_model(path)
 
     @pytest.mark.parametrize(

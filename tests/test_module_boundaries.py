@@ -1,5 +1,6 @@
-"""No module of the package uses another module's private names, and every
-function the benchmark's tracer relies on stays a public function."""
+"""No module of the package uses another module's private names, every
+function the benchmark's tracer relies on stays a public function, and the
+public API is the listed one."""
 
 import ast
 import importlib.util
@@ -7,6 +8,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+import spdconn
 
 PACKAGE = Path(__file__).parent.parent / "src" / "spdconn"
 LAYERTRACE = Path(__file__).parent.parent / "perfbench" / "layertrace.py"
@@ -81,3 +84,27 @@ def test_traced_names_are_public_functions():
         if attr.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
             not_found.append(name)
     assert layertrace.EXPECTED and not_found == []
+
+
+# Every public name, sorted; adding or removing one shows up here in review.
+PUBLIC_API = [
+    "ConfigurationError", "ConvergenceError", "DegenerateInputError",
+    "DegenerateModelError", "FLAT", "FrechetConfig", "GroupModel",
+    "InvalidInputError", "NearSingularError", "NullDistribution",
+    "NumericRangeError", "PairTest", "RocCurve", "SPD_EIG_FLOOR", "SimConfig",
+    "TANGENT", "TestReport", "TimeSeries", "auc", "build_null", "clip_spd",
+    "correlation_matrix", "default_group_correlation", "empirical_pvalue",
+    "fit_from_matrices", "fit_group_model", "frechet_mean", "geodesic_distance",
+    "inject_differences", "leave_one_out_scores", "ledoit_wolf", "log_likelihood",
+    "pair_count", "reconstruct", "residualize_confounds", "roc_experiment",
+    "sample_covariance", "sample_population", "sample_time_series",
+    "simulate_patients", "spd_expm", "spd_logm", "spd_sqrtm", "symmetrize",
+    "t_statistic", "tangent_inverse_map", "tangent_map", "test_patient",
+    "to_correlation", "tril_pairs", "validate_spd", "vec_dim", "vec_embed",
+    "vec_unembed",
+]
+
+
+def test_public_api():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert spdconn.__all__ == PUBLIC_API

@@ -3,17 +3,17 @@ import pytest
 
 from spdconn import (
     ConfigurationError,
+    GroupModel,
     SimConfig,
-    TangentVector,
     auc,
     default_group_correlation,
     fit_from_matrices,
     inject_differences,
     pair_count,
-    residual,
     roc_experiment,
     sample_population,
     sample_time_series,
+    symmetrize,
     vec_dim,
     vec_embed,
 )
@@ -59,7 +59,7 @@ class TestSamplePopulation:
         cfg = SimConfig(n=10, n_controls=200, sigma=0.1, seed=1, k_diffs=5)
         mats, _ = sample_population(cfg)
         star = cfg.group_matrix()
-        vecs = np.stack([residual(star, m).vec for m in mats])
+        vecs = GroupModel(mean=star, sigma=cfg.sigma, n_subjects=len(mats)).project(mats)
         assert np.max(np.abs(vecs.mean(axis=0))) <= 3.0 * cfg.sigma / np.sqrt(200)
 
     def test_determinism(self):
@@ -78,16 +78,16 @@ class TestSamplePopulation:
 class TestInjectDifferences:
     def test_zero_amplitude_is_identity(self, rng):
         cfg = SimConfig(n=8, n_controls=5, sigma=0.1, d_sigma=0.0, k_diffs=6, seed=2)
-        base = TangentVector(np.zeros((8, 8)))
+        base = np.zeros((8, 8))
         out, pairs = inject_differences(base, cfg, rng=rng)
-        assert np.array_equal(out.matrix, base.matrix)
+        assert np.array_equal(out, base)
         assert len(pairs) == 6
 
     def test_exactly_k_coordinates_change(self, rng):
         cfg = SimConfig(n=8, n_controls=5, sigma=0.1, d_sigma=0.25, k_diffs=6, seed=2)
-        base = TangentVector(rng.standard_normal((8, 8)) * 0.05)
+        base = symmetrize(rng.standard_normal((8, 8)) * 0.05)
         out, pairs = inject_differences(base, cfg, rng=rng)
-        delta = vec_embed(out.matrix) - vec_embed(base.matrix)
+        delta = vec_embed(out) - vec_embed(base)
         changed = np.nonzero(np.abs(delta) > 1e-15)[0]
         assert len(changed) == 6
         # selected coefficients move by the amplitude (sqrt 2 in coordinates)
@@ -99,17 +99,17 @@ class TestInjectDifferences:
 
     def test_ground_truth_pairs_distinct_lower_triangle(self, rng):
         cfg = SimConfig(n=10, n_controls=5, sigma=0.1, d_sigma=0.1, k_diffs=9, seed=4)
-        base = TangentVector(np.zeros((10, 10)))
+        base = np.zeros((10, 10))
         _, pairs = inject_differences(base, cfg, rng=rng)
         assert len(set(pairs)) == 9
         assert all(j < i for i, j in pairs)
 
     def test_seeded_determinism(self):
         cfg = SimConfig(n=8, n_controls=5, sigma=0.1, d_sigma=0.2, k_diffs=4, seed=13)
-        base = TangentVector(np.zeros((8, 8)))
+        base = np.zeros((8, 8))
         a, pa = inject_differences(base, cfg)
         b, pb = inject_differences(base, cfg)
-        assert np.array_equal(a.matrix, b.matrix) and pa == pb
+        assert np.array_equal(a, b) and pa == pb
 
 
 class TestAuc:
