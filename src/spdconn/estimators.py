@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidInputError
-from .geometry import symmetrize, validate_spd
+from .geometry import symmetrize, validate_spd_stack
 
 
 def as_region_names(names, n: int) -> tuple[str, ...]:
@@ -154,25 +154,19 @@ def as_correlation_matrices(subjects) -> tuple[np.ndarray, tuple[str, ...] | Non
 
     ``subjects`` may be `TimeSeries` objects (estimated through the
     pipeline) or precomputed SPD matrices (used as-is, e.g. simulation
-    draws).  Every matrix is validated with :func:`validate_spd`, so the
-    returned ``(S, n, n)`` stack needs no further check.  Also returns the
-    region names when the inputs carry them.
+    draws).  The stack is validated with one :func:`validate_spd_stack`
+    call, so the returned ``(S, n, n)`` stack needs no further check.  Also
+    returns the region names when the inputs carry them.
     """
-    subjects = list(subjects)
-    if not subjects:
-        raise InvalidInputError("empty subject list")
     mats = []
     names = None
     for s in subjects:
         if isinstance(s, TimeSeries):
-            mats.append(validate_spd(correlation_matrix(s)))
+            mats.append(correlation_matrix(s))
             if names is None:
                 names = s.region_names
             elif names != s.region_names:
                 raise InvalidInputError("subjects have inconsistent region names")
         else:
-            mats.append(validate_spd(s))
-    shapes = {m.shape for m in mats}
-    if len(shapes) != 1:
-        raise InvalidInputError(f"subjects have inconsistent dimensions: {shapes}")
-    return np.stack(mats), names
+            mats.append(s)
+    return validate_spd_stack(mats), names

@@ -66,6 +66,27 @@ def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
     return m
 
 
+def validate_spd_stack(mats, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
+    """Stack a non-empty sequence of ``(n, n)`` matrices and check them all
+    with one :func:`validate_spd` call; returns the ``(S, n, n)`` stack.
+
+    Raises ``InvalidInputError`` for an empty sequence or for matrices that
+    are not all of one ``(n, n)`` shape.
+    """
+    try:
+        mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    except ValueError as exc:  # ragged rows or entries that are not numbers
+        raise InvalidInputError(f"not a numeric matrix: {exc}") from None
+    if not mats:
+        raise InvalidInputError("empty list of matrices")
+    shapes = {m.shape for m in mats}
+    if len(shapes) != 1:
+        raise InvalidInputError(f"matrices have inconsistent shapes: {sorted(shapes)}")
+    if mats[0].ndim != 2:
+        raise InvalidInputError(f"expected (n, n) matrices, got shape {mats[0].shape}")
+    return validate_spd(np.stack(mats), floor)
+
+
 def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool | np.ndarray]:
     """Project ``m`` onto the SPD cone by flooring its eigenvalues.
 

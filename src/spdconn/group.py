@@ -21,6 +21,7 @@ from .geometry import (
     spd_sqrtm,
     symmetrize,
     validate_spd,
+    validate_spd_stack,
     vec_dim,
     vec_embed,
     whiten,
@@ -131,8 +132,7 @@ def frechet_mean(mats, config: FrechetConfig | None = None) -> np.ndarray:
         If the tolerance is not met within ``max_iterations``; carries the
         last gradient norm.
     """
-    stack = np.stack([validate_spd(m) for m in mats])
-    return _frechet(stack, config or FrechetConfig())[0]
+    return _frechet(validate_spd_stack(mats), config or FrechetConfig())[0]
 
 
 def reconstruct(group_mean, deviation) -> np.ndarray:
@@ -237,8 +237,7 @@ def fit_from_matrices(
     ``sigma = sqrt(mean over subjects and coordinates of squared residual
     coordinates)``.
     """
-    stack = np.stack([validate_spd(m) for m in mats])
-    return fit_stack(stack, config, parametrization, region_names)
+    return fit_stack(validate_spd_stack(mats), config, parametrization, region_names)
 
 
 def fit_group_model(

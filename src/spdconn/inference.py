@@ -4,7 +4,11 @@ The null distribution of the per-pair statistic is built nonparametrically:
 each bootstrap iteration leaves one control out, refits the group model on a
 resampled surrogate population, projects everybody into the surrogate
 residual frame, and records the left-out subject's statistic for every
-region pair.  Observed statistics for a test subject are then converted to
+region pair.  The flat refit is an arithmetic mean, so its statistic comes
+from the first two moments of the resampled controls' coordinates, computed
+for a block of iterations at a time; the tangent refit is a Fréchet fit per
+iteration.  In both, row ``k`` of the null depends only on the seed and
+``k``.  Observed statistics for a test subject are then converted to
 empirical two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
 """
@@ -19,6 +23,7 @@ import numpy as np
 from .estimators import as_correlation_matrices
 from .exceptions import ConvergenceError, InvalidInputError, NearSingularError
 from .group import (
+    FLAT,
     TANGENT,
     FrechetConfig,
     GroupModel,
@@ -145,6 +150,59 @@ class TestReport:
 
 _FIT_FAILURES = (ConvergenceError, NearSingularError, np.linalg.LinAlgError)
 
+# Iterations per block of the flat null: enough to amortize the per-block
+# numpy calls, small enough that the block's temporaries stay negligible
+# next to the (m, P) result.
+_FLAT_BLOCK = 16
+
+
+def _resample(rng, s_count: int):
+    """One bootstrap draw: the left-out control and the indices of a
+    surrogate of ``s_count`` controls drawn with replacement from the rest."""
+    indices = np.arange(s_count)
+    left = int(rng.integers(s_count))
+    rest = indices[indices != left]
+    return left, rng.choice(rest, size=s_count, replace=True)
+
+
+def _sum_in_order(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding the rows one after another."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _flat_null(resid: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """Flat null rows from the controls' residual coordinates ``(S, P)``
+    around their arithmetic mean.
+
+    A flat surrogate's residuals are its drawn rows of ``resid`` minus
+    their mean ``mu``, so row ``k`` is
+    ``(resid[left] - mu) / (max(sd, SD_FLOOR) sqrt(1 + 1/S))`` with ``sd``
+    the standard deviation of the drawn rows: the ``t_statistic`` of the
+    refit in exact arithmetic.  The deviations are summed after ``mu``, as
+    ``std`` does, so a resample of one repeated control keeps its floored
+    ``sd``.  Sums add the drawn rows in draw order, elementwise, so a row
+    does not depend on the block it is computed in (a matrix product would
+    not promise that).
+    """
+    s_count, n_pairs = resid.shape
+    scale = math.sqrt(1.0 + 1.0 / s_count)
+    values = np.empty((m, n_pairs))
+    for start in range(0, m, _FLAT_BLOCK):
+        stop = min(start + _FLAT_BLOCK, m)
+        draws = [_resample(np.random.default_rng([seed, it]), s_count)
+                 for it in range(start, stop)]
+        left = np.array([d[0] for d in draws])
+        drawn = resid[np.array([d[1] for d in draws]).T]  # (S, block, P)
+        mu = _sum_in_order(drawn) / s_count
+        drawn -= mu
+        drawn *= drawn
+        sd = np.sqrt(_sum_in_order(drawn) / (s_count - 1))
+        values[start:stop] = (resid[left] - mu) / (np.maximum(sd, SD_FLOOR) * scale)
+    return values
+
 
 def build_null(
     controls,
@@ -157,6 +215,10 @@ def build_null(
     """Build the per-pair null distribution by leave-one-out bootstrap.
 
     The null carries the group model fitted to the complete control group.
+    A flat surrogate fit is an arithmetic mean, which cannot fail, so the
+    flat null is computed from the moments of each resample without a fit
+    per iteration; its rows equal the per-iteration refits' statistics up
+    to rounding.
 
     Parameters
     ----------
@@ -168,13 +230,14 @@ def build_null(
         statistics.
     seed : int
         Master seed; iteration ``k`` uses generator seed ``(seed, k)``, so
-        the result is reproducible and row ``k`` does not depend on ``m``
-        or on the order in which iterations run.
+        in both parametrizations the result is reproducible and row ``k``
+        depends only on ``seed`` and ``k``: not on ``m`` or on the order
+        or grouping in which iterations run.
 
     Raises
     ------
     ConvergenceError
-        If more than 10% of fits fail across the whole run.
+        If more than 10% of tangent fits fail across the whole run.
     """
     check_parametrization(parametrization)
     if m < 1:
@@ -185,20 +248,21 @@ def build_null(
         raise InvalidInputError("need at least 3 controls to build a null")
 
     n_pairs = pair_count(mats.shape[-1])
+    if parametrization == FLAT:
+        model = fit_stack(mats, config, FLAT, region_names=names)
+        return NullDistribution(model, _flat_null(model.residuals[:, :n_pairs], m, seed), seed)
+
     values = np.empty((m, n_pairs))
     n_failures = 0
     # An iteration that keeps failing is abandoned once it alone would push
     # the total failure rate over the abort threshold.
     retry_cap = max(1, math.ceil(0.1 * m) + 1)
-    indices = np.arange(s_count)
     for it in range(m):
         rng = np.random.default_rng([seed, it])
         for _ in range(retry_cap):
-            left = int(rng.integers(s_count))
-            rest = indices[indices != left]
-            surrogate = mats[rng.choice(rest, size=s_count, replace=True)]
+            left, pick = _resample(rng, s_count)
             try:
-                model = fit_stack(surrogate, config, parametrization)
+                model = fit_stack(mats[pick], config)
                 left_vec = model.project(mats[left])
             except _FIT_FAILURES:
                 n_failures += 1

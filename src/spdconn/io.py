@@ -45,8 +45,37 @@ def _detect_delimiter(line: str) -> str | None:
     return None  # whitespace
 
 
+def _fields(line: str, delimiter: str | None) -> list[str]:
+    if delimiter is None:
+        return line.split()
+    return next(csv.reader([line], delimiter=delimiter))
+
+
+def _parse_rows(path, lines, delimiter, width) -> np.ndarray:
+    """Data rows parsed one at a time with ``float``; names the first
+    faulty row (1-based among the non-blank lines, header first)."""
+    values = np.empty((len(lines) - 1, width))
+    for r, line in enumerate(lines[1:], start=2):
+        row = _fields(line, delimiter)
+        if len(row) != width:
+            raise InvalidInputError(
+                f"{path}: row {r} has {len(row)} fields, expected {width}"
+            )
+        try:
+            values[r - 2] = [float(c) for c in row]
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: row {r}: {exc}") from None
+    return values
+
+
 def read_time_series(path) -> TimeSeries:
-    """Load a delimited time-series table; first row holds region names."""
+    """Load a delimited time-series table; first row holds region names.
+
+    Blank lines are skipped.  The data rows go through ``np.loadtxt``; a
+    table it refuses is parsed again row by row, which either reads it
+    (``float`` also takes quoted cells and a few spellings ``loadtxt``
+    does not) or names the first faulty row.
+    """
     path = os.fspath(path)
     with open(path, "r", newline="") as handle:
         content = handle.read()
@@ -56,22 +85,14 @@ def read_time_series(path) -> TimeSeries:
             f"{path}: need a header row and at least 2 time points"
         )
     delimiter = _detect_delimiter(lines[0])
-    if delimiter is None:
-        rows = [ln.split() for ln in lines]
-    else:
-        rows = list(csv.reader(_io.StringIO("\n".join(lines)), delimiter=delimiter))
-    names = [c.strip() for c in rows[0]]
+    names = [c.strip() for c in _fields(lines[0], delimiter)]
     width = len(names)
-    values = np.empty((len(rows) - 1, width))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise InvalidInputError(
-                f"{path}: row {r} has {len(row)} fields, expected {width}"
-            )
-        try:
-            values[r - 2] = [float(c) for c in row]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: row {r}: {exc}") from None
+    try:
+        values = np.loadtxt(lines[1:], delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape[1] != width:
+        values = _parse_rows(path, lines, delimiter, width)
     try:
         return TimeSeries(values, tuple(names))
     except InvalidInputError as exc:

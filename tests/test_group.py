@@ -24,6 +24,7 @@ from spdconn import (
     vec_unembed,
 )
 from spdconn.geometry import eig_apply, spd_expm, symmetrize, vec_embed, whiten
+from spdconn.estimators import as_correlation_matrices
 from spdconn.group import fit_stack
 from helpers import random_invertible, random_orthogonal, random_spd
 
@@ -218,6 +219,32 @@ class TestFitGroupModel:
     def test_requires_two_subjects(self, rng):
         with pytest.raises(InvalidInputError):
             fit_from_matrices([random_spd(rng, 3)])
+
+    @pytest.mark.parametrize("fit", [fit_from_matrices, frechet_mean])
+    def test_rejects_mixed_shapes(self, fit):
+        with pytest.raises(InvalidInputError, match="inconsistent shapes"):
+            fit([np.eye(3), np.eye(4)])
+        with pytest.raises(InvalidInputError, match="not a numeric matrix"):
+            fit([np.eye(2), [[1.0, 0.0], [0.0]]])
+
+    @pytest.mark.parametrize("fit", [fit_from_matrices, frechet_mean])
+    def test_rejects_empty_input(self, fit):
+        with pytest.raises(InvalidInputError, match="empty"):
+            fit([])
+
+    @pytest.mark.parametrize("fit", [fit_from_matrices, frechet_mean, as_correlation_matrices])
+    def test_validates_the_stack_in_one_call(self, fit, monkeypatch):
+        mats, _ = sample_population(SimConfig(n=5, n_controls=6, sigma=0.05, seed=1, k_diffs=2))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        fit(list(mats))
+        assert calls == [(6, 5, 5)]
 
 
 class TestFlatModel:

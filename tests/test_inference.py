@@ -18,6 +18,8 @@ from spdconn import (
     t_statistic,
     test_patient,
 )
+from spdconn.group import fit_stack
+from spdconn.inference import _FLAT_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,57 @@ class TestBuildNull:
         cfg = FrechetConfig(max_iterations=1, gradient_tolerance=1e-18)
         with pytest.raises(ConvergenceError):
             build_null(control_mats, m=10, seed=0, config=cfg)
+
+
+def flat_reference_row(mats, seed, k):
+    """Row ``k`` of the flat null the way a per-iteration refit computes it:
+    fit the resample, project the left-out control, take the statistic."""
+    rng = np.random.default_rng([seed, k])
+    s_count = len(mats)
+    left = int(rng.integers(s_count))
+    rest = np.arange(s_count)[np.arange(s_count) != left]
+    model = fit_stack(mats[rng.choice(rest, size=s_count, replace=True)], parametrization="flat")
+    n_pairs = pair_count(model.n)
+    return t_statistic(model.residuals[:, :n_pairs], model.project(mats[left])[:n_pairs])
+
+
+class TestFlatNull:
+    @pytest.mark.parametrize("s_count", [3, 8, 20])
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_rows_match_per_iteration_refits(self, s_count, seed):
+        mats, _ = sample_population(SimConfig(n=6, n_controls=s_count, sigma=0.1, seed=s_count, k_diffs=2))
+        null = build_null(mats, m=40, seed=seed, parametrization="flat")
+        reference = np.stack([flat_reference_row(mats, seed, k) for k in range(40)])
+        # a resample that repeats one control has sd below SD_FLOOR, and its
+        # statistic, about 1e11, can only agree to a relative tolerance
+        floored = np.abs(reference) > 1e9
+        assert floored.any() == (s_count == 3)
+        np.testing.assert_allclose(null.values[~floored], reference[~floored], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(null.values[floored], reference[floored], rtol=1e-12)
+        assert null.n_failures == 0
+
+    @pytest.mark.parametrize(
+        "m", [1, _FLAT_BLOCK - 1, _FLAT_BLOCK, _FLAT_BLOCK + 1, 2 * _FLAT_BLOCK + 1]
+    )
+    def test_row_does_not_depend_on_its_block(self, control_mats, m):
+        longest = build_null(control_mats, m=3 * _FLAT_BLOCK + 1, seed=4, parametrization="flat")
+        shorter = build_null(control_mats, m=m, seed=4, parametrization="flat")
+        assert np.array_equal(longest.values[:m], shorter.values)
+
+    def test_constant_pair_gives_zero(self, rng):
+        # regions 0 and 1 form a fixed block, uncorrelated with the rest, so
+        # every pair involving them is constant across the controls
+        block = np.array([[1.0, 0.5], [0.5, 1.0]])
+        mats, _ = sample_population(SimConfig(n=4, n_controls=10, sigma=0.1, seed=5, k_diffs=2))
+        padded = np.zeros((10, 6, 6))
+        padded[:, :2, :2] = block
+        padded[:, 2:, 2:] = mats
+        null = build_null(padded, m=30, seed=1, parametrization="flat")
+        reference = np.stack([flat_reference_row(padded, 1, k) for k in range(30)])
+        ii, jj = np.tril_indices(6, -1)
+        constant = jj < 2
+        assert np.array_equal(null.values[:, constant], np.zeros((30, constant.sum())))
+        assert np.array_equal(reference[:, constant], null.values[:, constant])
 
 
 class TestTestPatient:

@@ -58,6 +58,32 @@ class TestTimeSeriesIO:
         assert back.region_names == ("a", "b")
         assert np.array_equal(back.values, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n\n1.5,2\n  \n3,4.25\n",
+            "a\tb\n1.5\t2\n\n3\t4.25\n",
+            "a;b\n1.5;2\n3;4.25\n\n",
+            "a  b\n 1.5   2\n\n3\t4.25\n",
+            "a,b\r\n1.5,2\r\n3,4.25\r\n",
+            '"a","b"\n"1.5",2\n3,"4.25"\n',
+            "a,b\n1_5e-1,2\n3,4.25\n",
+        ],
+        ids=["blank-lines", "tab", "semicolon", "whitespace", "crlf", "quoted", "underscore"],
+    )
+    def test_layouts(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        back = sio.read_time_series(path)
+        assert back.region_names == ("a", "b")
+        assert np.array_equal(back.values, [[1.5, 2.0], [3.0, 4.25]])
+
+    def test_error_rows_count_non_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n\n1.0,2.0\n\n3.0,x\n4,5\n")
+        with pytest.raises(InvalidInputError, match="bad.csv: row 3: .*'x'"):
+            sio.read_time_series(path)
+
     def test_ragged_rows_name_file_and_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0\n")
