@@ -66,7 +66,7 @@ def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
     return m
 
 
-def validate_spd_stack(mats, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
+def validate_spd_stack(mats) -> np.ndarray:
     """Stack a non-empty sequence of ``(n, n)`` matrices and check them all
     with one :func:`validate_spd` call; returns the ``(S, n, n)`` stack.
 
@@ -84,7 +84,7 @@ def validate_spd_stack(mats, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
         raise InvalidInputError(f"matrices have inconsistent shapes: {sorted(shapes)}")
     if mats[0].ndim != 2:
         raise InvalidInputError(f"expected (n, n) matrices, got shape {mats[0].shape}")
-    return validate_spd(np.stack(mats), floor)
+    return validate_spd(np.stack(mats))
 
 
 def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool | np.ndarray]:
