@@ -99,7 +99,7 @@ def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool | np.nda
     """
     m = symmetrize(m)
     _check_finite(m)
-    eigvals, eigvecs = np.linalg.eigh(m)
+    eigvals, eigvecs = eig_decompose(m)
     hi = eigvals.max(axis=-1, keepdims=True)
     if np.any(hi <= 0):
         raise NearSingularError("matrix has no positive eigenvalues; cannot clip")
@@ -115,17 +115,28 @@ def _rebuild(eigvecs, values) -> np.ndarray:
     return symmetrize(eigvecs @ (values[..., :, None] * np.swapaxes(eigvecs, -1, -2)))
 
 
+def eig_decompose(stack, *fns) -> tuple:
+    """Eigenpairs of symmetric matrices and functions of them, from one
+    batched ``eigh`` call; every eigenvector decomposition of the package
+    goes through here.
+
+    Returns ``(e, v, *results)``: the eigenvalues ``e`` ``(..., n)`` in
+    ascending order, the eigenvectors ``v`` ``(..., n, n)`` as columns, and
+    ``v @ diag(fn(e)) @ v.T`` for each function in ``fns``, in order.  A
+    function may raise to reject the eigenvalues it is given.  The input
+    is not validated.
+    """
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    return (eigvals, eigvecs, *(_rebuild(eigvecs, fn(eigvals)) for fn in fns))
+
+
 def eig_apply(stack, *fns):
     """Apply functions of the eigenvalues to symmetric matrices.
 
-    One ``eigh`` call serves every function in ``fns``: each yields
-    ``v @ diag(fn(e)) @ v.T`` for the eigendecomposition ``(e, v)`` of each
-    matrix of ``stack`` ``(..., n, n)``.  Returns one array for one
-    function, else a tuple in the order of ``fns``.  A function may raise to
-    reject the eigenvalues it is given.  The input is not validated.
+    :func:`eig_decompose` without the eigenpairs: returns one array for
+    one function, else a tuple in the order of ``fns``.
     """
-    eigvals, eigvecs = np.linalg.eigh(stack)
-    out = tuple(_rebuild(eigvecs, fn(eigvals)) for fn in fns)
+    out = eig_decompose(stack, *fns)[2:]
     return out[0] if len(out) == 1 else out
 
 

@@ -234,6 +234,13 @@ def build_null(
         depends only on ``seed`` and ``k``: not on ``m`` or on the order
         or grouping in which iterations run.
 
+    With very few controls, a resample can draw one control ``S`` times.
+    Its spread is zero, its standard deviation is floored at ``SD_FLOOR``,
+    and its null row is about 1e11 in every pair.  This happens with
+    probability ``(S - 1) ** (1 - S)``: 0.25 at ``S = 3``, 0.037 at
+    ``S = 4`` and 0.004 at ``S = 5``.  Such rows exceed any observed
+    statistic, so they bound the smallest reachable p-value from below.
+
     Raises
     ------
     ConvergenceError

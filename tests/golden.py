@@ -1,7 +1,8 @@
 """Reference results of the full pipeline at three fixed seeds.
 
-``tests/data/golden.npz`` holds these results as computed at commit
-ba73681, where each matrix function ran its own eigendecomposition;
+``tests/data/golden.npz`` holds these results as computed once the
+intrinsic mean took Newton steps (it was regenerated then, at the same
+seeds; before, it held the results of commit ba73681);
 ``test_golden.py`` recomputes them and compares.  Floating-point results
 may move by rounding only, while p-values, ROC points and iteration and
 failure counts must not move at all.  Regenerate the file only for an

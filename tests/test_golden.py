@@ -1,11 +1,15 @@
-"""The pipeline still returns the results recorded in ``data/golden.npz``."""
+"""The pipeline still returns the results recorded in ``data/golden.npz``,
+and those stay within rounding of the unit-step Fréchet iteration that the
+Newton steps replaced."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spdconn import group
 from golden import golden_cases
+from test_group import unit_step_frechet
 
 GOLDEN = Path(__file__).parent / "data" / "golden.npz"
 # Quantities that rounding must never move: counts, p-values, ROC points.
@@ -39,3 +43,18 @@ def test_golden_results(computed):
             if not ok:
                 mismatched.append(key)
     assert not mismatched, f"results moved: {mismatched}"
+
+
+def test_newton_rebase_against_unit_step(computed, monkeypatch):
+    # the fixture was regenerated when Newton steps replaced the unit step;
+    # both iterations stop inside the same gradient tolerance
+    monkeypatch.setattr(group, "_frechet", unit_step_frechet)
+    unit = golden_cases()
+    for key, got in computed.items():
+        want, quantity = unit[key], key.rsplit("/", 1)[1]
+        if quantity == "fit_mean":
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want), key
+        elif quantity == "null_values":
+            assert np.allclose(got, want, rtol=0, atol=1e-7), key
+        elif quantity in ("null_failures", "test_p", "roc_fpr", "roc_tpr"):
+            assert np.array_equal(got, want), key

@@ -23,10 +23,16 @@ from spdconn import (
     vec_dim,
     vec_unembed,
 )
-from spdconn.geometry import eig_apply, spd_expm, symmetrize, vec_embed, whiten
+from spdconn.geometry import eig_apply, eig_decompose, spd_expm, symmetrize, vec_embed, whiten
 from spdconn.estimators import as_correlation_matrices
-from spdconn.group import fit_stack
-from helpers import random_invertible, random_orthogonal, random_spd
+from spdconn.group import (
+    _CG_TOLERANCE,
+    _log_derivative,
+    _log_weights,
+    _newton_step,
+    fit_stack,
+)
+from helpers import random_invertible, random_orthogonal, random_spd, random_symmetric
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -49,6 +55,13 @@ class TestFrechetMean:
         expected = (q * np.exp(np.log(eigs).mean(axis=0))) @ q.T
         got = frechet_mean(mats)
         assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-10
+
+    def test_whitened_eigenvalue_ratio_beyond_float_resolution(self):
+        # both members pass the eigenvalue floor, but whitened by the
+        # arithmetic mean the first has eigenvalues 1 and 8e-20, whose t
+        # rounds to 1 (an infinite log weight without the clamp)
+        m = frechet_mean([np.diag([1.0, 2e-10]), np.diag([1.0, 5e9])])
+        assert np.allclose(m, np.eye(2), rtol=0, atol=1e-10)
 
     @given(seeds)
     def test_congruence_equivariance(self, seed):
@@ -81,17 +94,88 @@ class TestFrechetMean:
         assert err.value.gradient_norm is not None
         assert err.value.gradient_norm > 0
 
+    @pytest.mark.parametrize(
+        "n, s_count, cond", [(4, 5, 1e3), (5, 6, 1e3), (5, 3, 1e6), (4, 5, 1e6), (8, 10, 1e6)]
+    )
+    def test_converges_on_spread_inputs(self, n, s_count, cond):
+        # unclustered random_spd families: the unit step took 50-260
+        # iterations on the first two and did not converge in 500 on the
+        # others; Newton steps take 3-4 on every draw
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            model = fit_from_matrices([random_spd(rng, n, cond) for _ in range(s_count)])
+            assert model.frechet_iterations <= 10
 
-def decompose_every_row(stack, config=FrechetConfig()):
-    """Reference fit: the fixed point that decomposes every row of the stack,
-    repeated rows included; returns mean, residuals, sigma, iterations."""
+
+class TestNewtonStep:
+    @staticmethod
+    def whitened_members(rng, n=5):
+        # the last member has one eigenvalue: every weight takes the K = 1 branch
+        return np.stack([random_spd(rng, n, cond=1e2) for _ in range(3)] + [2.0 * np.eye(n)])
+
+    def test_operator_is_the_derivative_of_the_mean_log(self, rng):
+        w = self.whitened_members(rng)
+        eigvals, eigvecs = eig_decompose(w)
+        x = random_symmetric(rng, w.shape[-1])
+
+        def mean_log(eps):
+            half = spd_expm(-0.5 * eps * x)
+            return eig_apply(whiten(half, w), np.log).mean(axis=0)
+
+        eps = 1e-5
+        slope = (mean_log(eps) - mean_log(-eps)) / (2.0 * eps)
+        h = _log_derivative(x, eigvecs, _log_weights(eigvals), slice(None))
+        assert np.linalg.norm(slope + h) <= 1e-7 * np.linalg.norm(h)
+
+    def test_operator_is_symmetric_and_at_least_identity(self, rng):
+        w = self.whitened_members(rng)
+        eigvals, eigvecs = eig_decompose(w)
+        weights = _log_weights(eigvals)
+        assert weights.min() >= 1.0
+        x, y = random_symmetric(rng, w.shape[-1]), random_symmetric(rng, w.shape[-1])
+        hx = _log_derivative(x, eigvecs, weights, slice(None))
+        hy = _log_derivative(y, eigvecs, weights, slice(None))
+        assert np.isclose(np.vdot(y, hx), np.vdot(x, hy), rtol=1e-12)
+        assert np.vdot(x, hx) >= np.vdot(x, x)
+
+    def test_step_solves_the_newton_equation(self, rng):
+        w = self.whitened_members(rng)
+        eigvals, eigvecs, logs = eig_decompose(w, np.log)
+        gradient = logs.mean(axis=0)
+        weights = _log_weights(eigvals)
+        step = _newton_step(gradient, eigvecs, weights, slice(None))
+        residual = _log_derivative(step, eigvecs, weights, slice(None)) - gradient
+        assert np.linalg.norm(residual) <= _CG_TOLERANCE * np.linalg.norm(gradient)
+
+
+def unit_step_frechet(stack, config=FrechetConfig()):
+    """Reference: the unit-step fixed point that the Newton steps replaced,
+    ``M <- M^1/2 expm(G) M^1/2`` with ``G`` the mean log of the whitened
+    rows, decomposing every row; returns what ``group._frechet`` returns."""
     mean = symmetrize(stack.mean(axis=0))
     for iteration in range(config.max_iterations):
         root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
         step = eig_apply(whiten(inv_root, stack), np.log).mean(axis=0)
-        if np.linalg.norm(step) <= config.gradient_tolerance:
+        gradient_norm = float(np.linalg.norm(step))
+        if gradient_norm <= config.gradient_tolerance:
+            return mean, inv_root, iteration, gradient_norm
+        mean = symmetrize(root @ spd_expm(step) @ root)
+    raise ConvergenceError("reference fit did not converge", gradient_norm)
+
+
+def newton_every_row(stack, config=FrechetConfig()):
+    """Reference fit: the Newton iteration decomposing every row of the
+    stack, repeated rows included; returns mean, residuals, sigma,
+    iterations."""
+    mean = symmetrize(stack.mean(axis=0))
+    for iteration in range(config.max_iterations):
+        root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
+        eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, stack), np.log)
+        gradient = logs.mean(axis=0)
+        if np.linalg.norm(gradient) <= config.gradient_tolerance:
             vecs = vec_embed(whiten(inv_root, stack) - np.eye(stack.shape[-1]))
             return mean, vecs, float(np.sqrt(np.mean(vecs**2))), iteration
+        step = _newton_step(gradient, eigvecs, _log_weights(eigvals), slice(None))
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise AssertionError("reference fit did not converge")
 
@@ -118,7 +202,7 @@ class TestRepeatedMembers:
             model = fit_from_matrices([m.copy() for m in stack])
         else:
             model = fit_stack(stack)
-        mean, vecs, sigma, iterations = decompose_every_row(stack)
+        mean, vecs, sigma, iterations = newton_every_row(stack)
         assert np.array_equal(model.mean, mean)
         assert np.array_equal(model.residuals, vecs)
         assert model.sigma == sigma

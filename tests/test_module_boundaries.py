@@ -1,6 +1,7 @@
-"""No module of the package uses another module's private names, every
-function the benchmark's tracer relies on stays a public function, and the
-public API is the listed one."""
+"""No module of the package uses another module's private names, only
+``geometry`` calls numpy's symmetric eigensolvers, every function the
+benchmark's tracer relies on stays a public function, and the public API is
+the listed one."""
 
 import ast
 import importlib.util
@@ -68,6 +69,43 @@ def test_guard_finds_private_uses():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_uses(path.read_text()) == []
+
+
+EIGENSOLVERS = ("eigh", "eigvalsh")
+
+
+def eigensolver_uses(source: str) -> list[str]:
+    """Attribute uses and imports of numpy's symmetric eigensolvers in
+    ``source``, however numpy or its ``linalg`` module is bound."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"from {node.module} import {a.name}"
+                      for a in node.names if a.name in EIGENSOLVERS]
+    return found
+
+
+def test_guard_finds_eigensolver_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy import linalg as la\n"
+        "from numpy.linalg import eigvalsh\n"
+        "np.linalg.eigh(a)\n"
+        "la.eigvalsh(a)\n"
+        "np.linalg.eig(a)\n"
+    )
+    assert eigensolver_uses(source) == [
+        "from numpy.linalg import eigvalsh", "np.linalg.eigh", "la.eigvalsh",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_eigensolvers_only_in_geometry(path):
+    # one eigen kernel: every eigendecomposition goes through geometry
+    uses = eigensolver_uses(path.read_text())
+    assert bool(uses) == (path.name == "geometry.py"), uses
 
 
 def test_traced_names_are_public_functions():

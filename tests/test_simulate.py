@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from spdconn import (
     vec_dim,
     vec_embed,
 )
+from spdconn import simulate
 
 
 class TestConfig:
@@ -160,6 +163,34 @@ class TestRocExperiment:
         assert details["labels"].sum() == 4 * 4
         assert 0.0 <= details["mean_raw_detections"] <= pair_count(8)
         assert 0.0 <= curve.auc <= 1.0
+
+    def test_scoring_memory_is_one_copy_of_the_null(self, monkeypatch):
+        # roc_flat scale: once the null is built, scoring 20 patients and
+        # sweeping the ROC threshold grid add one sorted (m, P) copy of the
+        # null at their peak (1.02 copies measured); a dense (m + 2) x
+        # (patients x pairs) sweep would add 2.4 copies more
+        cfg = SimConfig(
+            n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, m=10_000,
+            n_patients=20, parametrization="flat", seed=1,
+        )
+        held = []
+        build_null = simulate.build_null
+
+        def build_then_reset_peak(*args, **kwargs):
+            null = build_null(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return null
+
+        monkeypatch.setattr(simulate, "build_null", build_then_reset_peak)
+        tracemalloc.start()
+        try:
+            roc_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_copy = cfg.m * pair_count(cfg.n) * 8
+        assert peak - held[0] <= 1.25 * one_copy
 
 
 class TestSampleTimeSeries:
