@@ -65,8 +65,8 @@ class TestFrechetMean:
 
     @given(seeds)
     def test_congruence_equivariance(self, seed):
-        # clustered family: the fixed-point iteration targets populations
-        # scattered around a common center, as in the fitting pipeline
+        # clustered family: populations scattered around a common center,
+        # as in the fitting pipeline
         rng = np.random.default_rng(seed)
         mats = [0.4 * random_spd(rng, 4) + 0.6 * np.eye(4) for _ in range(5)]
         g = random_invertible(rng, 4)
@@ -98,9 +98,9 @@ class TestFrechetMean:
         "n, s_count, cond", [(4, 5, 1e3), (5, 6, 1e3), (5, 3, 1e6), (4, 5, 1e6), (8, 10, 1e6)]
     )
     def test_converges_on_spread_inputs(self, n, s_count, cond):
-        # unclustered random_spd families: the unit step took 50-260
-        # iterations on the first two and did not converge in 500 on the
-        # others; Newton steps take 3-4 on every draw
+        # unclustered random_spd families: the unit step took up to 152 and
+        # 261 iterations on the first two and did not converge in 500 on
+        # the others; Newton steps take 3-4 on every draw
         for seed in range(20):
             rng = np.random.default_rng(seed)
             model = fit_from_matrices([random_spd(rng, n, cond) for _ in range(s_count)])

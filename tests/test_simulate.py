@@ -168,7 +168,7 @@ class TestRocExperiment:
         # roc_flat scale: once the null is built, scoring 20 patients and
         # sweeping the ROC threshold grid add one sorted (m, P) copy of the
         # null at their peak (1.02 copies measured); a dense (m + 2) x
-        # (patients x pairs) sweep would add 2.4 copies more
+        # (patients x pairs) sweep peaks at 2.4 copies
         cfg = SimConfig(
             n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, m=10_000,
             n_patients=20, parametrization="flat", seed=1,
