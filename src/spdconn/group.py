@@ -8,7 +8,7 @@ entrywise residuals) is kept as the baseline comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -125,18 +125,55 @@ def _newton_step(gradient, eigvecs, weights, inverse) -> np.ndarray:
     return x
 
 
-def _frechet(mats: np.ndarray, config: FrechetConfig):
+@dataclass(frozen=True)
+class TangentFrame:
+    """The exit iteration of an intrinsic-mean fit, kept to warm-start the
+    fits of resamples of the fitted stack (:func:`fit_stack`'s ``start``).
+
+    Row ``s`` of the fitted stack is ``distinct[members[s]]``.
+    ``eigvals``, ``eigvecs`` and ``logs`` decompose each distinct matrix
+    whitened by ``inv_root``, the inverse of ``root = mean^1/2``.
+    """
+
+    mean: np.ndarray
+    root: np.ndarray
+    inv_root: np.ndarray
+    distinct: np.ndarray
+    members: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    logs: np.ndarray
+
+
+def _frechet(mats: np.ndarray, config: FrechetConfig, start=None):
     """Intrinsic mean by Newton steps; returns the mean, its inverse
-    square root, the iteration count and the gradient norm at exit.
+    square root, the iteration count, the gradient norm at exit and the
+    :class:`TangentFrame` of the exit iteration.
 
     Each distinct matrix of ``mats`` is decomposed once per iteration; its
     log, and its term of the Newton operator, are gathered back into every
     row that repeats it, so the means sum the same rows in the same order
     as without the saving.
+
+    ``start = (frame, rows)`` starts at ``frame.mean`` when ``mats`` is
+    ``stack[rows]`` and ``frame`` the exit frame of a fit of ``stack``.
+    The first iteration then gathers the gradient and the Newton operator
+    of the rows from the frame and decomposes nothing; the later ones are
+    unchanged.
     """
-    mean = symmetrize(mats.mean(axis=0))
     gradient_norm = np.inf
-    distinct, inverse = _distinct(mats)
+    if start is None:
+        mean = symmetrize(mats.mean(axis=0))
+        distinct, inverse = _distinct(mats)
+    else:
+        frame, rows = start
+        members = frame.members[rows]
+        counts = np.bincount(members, minlength=len(frame.distinct))
+        present = np.flatnonzero(counts)
+        inverse = (np.cumsum(counts > 0) - 1)[members]
+        mean, root, inv_root = frame.mean, frame.root, frame.inv_root
+        distinct = frame.distinct[present]
+        eigvals, eigvecs, logs = frame.eigvals[present], frame.eigvecs[present], frame.logs[present]
 
     def sqrt_in_cone(eigvals):
         if eigvals.min() <= 0:
@@ -146,12 +183,15 @@ def _frechet(mats: np.ndarray, config: FrechetConfig):
         return np.sqrt(eigvals)
 
     for iteration in range(config.max_iterations):
-        root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
-        eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, distinct), np.log)
+        if iteration or start is None:
+            root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
+            eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, distinct), np.log)
         gradient = logs[inverse].mean(axis=0)
         gradient_norm = float(np.linalg.norm(gradient))
         if gradient_norm <= config.gradient_tolerance:
-            return mean, inv_root, iteration, gradient_norm
+            members = np.arange(len(mats))[inverse]
+            frame = TangentFrame(mean, root, inv_root, distinct, members, eigvals, eigvecs, logs)
+            return mean, inv_root, iteration, gradient_norm, frame
         step = _newton_step(gradient, eigvecs, _log_weights(eigvals), inverse)
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise ConvergenceError(
@@ -226,7 +266,9 @@ class GroupModel:
     ``sigma`` is the root mean square of the residual coordinates, i.e. the
     per-coordinate maximum-likelihood dispersion of the isotropic Gaussian
     on the (tangent or flat) residual space.  ``residuals`` holds the
-    residual coordinates of the fitted subjects, one row each.
+    residual coordinates of the fitted subjects, one row each.  ``frame``
+    is the exit iteration of the tangent fit that made the model, when
+    :func:`fit_stack` made it.
     """
 
     mean: np.ndarray
@@ -237,6 +279,7 @@ class GroupModel:
     region_names: tuple[str, ...] | None = None
     frechet_iterations: int = 0
     gradient_norm: float = 0.0
+    frame: TangentFrame | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -258,12 +301,18 @@ def fit_stack(
     config: FrechetConfig | None = None,
     parametrization: str = TANGENT,
     region_names=None,
+    start=None,
 ) -> GroupModel:
     """Fit the group model to an already validated ``(S, n, n)`` SPD stack.
 
     The core of :func:`fit_from_matrices`.  The whitening of the last
     Fréchet iteration stays on the model, so projecting new subjects needs
-    no further decomposition of the mean.
+    no further decomposition of the mean, and so does the decomposition of
+    the subjects there (``model.frame``).  A tangent fit of a resample
+    ``stack = full[rows]`` of a fitted stack ``full`` can start from that
+    model's frame, ``start = (model.frame, rows)``: it converges to the same
+    mean, to within the gradient tolerance, with one decomposition of the
+    mean and of each distinct subject fewer.
     """
     check_parametrization(parametrization)
     if stack.shape[0] < 2:
@@ -271,10 +320,10 @@ def fit_stack(
     if region_names is not None:
         region_names = as_region_names(region_names, stack.shape[-1])
     if parametrization == TANGENT:
-        fit = _frechet(stack, config or FrechetConfig())
+        fit = _frechet(stack, config or FrechetConfig(), start)
     else:
-        fit = symmetrize(stack.mean(axis=0)), None, 0, 0.0
-    mean, inv_root, iterations, gradient_norm = fit
+        fit = symmetrize(stack.mean(axis=0)), None, 0, 0.0, None
+    mean, inv_root, iterations, gradient_norm, frame = fit
     vecs = vec_embed(_deviations(mean, inv_root, stack))
     model = GroupModel(
         mean=mean,
@@ -285,6 +334,7 @@ def fit_stack(
         region_names=region_names,
         frechet_iterations=iterations,
         gradient_norm=gradient_norm,
+        frame=frame,
     )
     model.__dict__["inv_root"] = inv_root  # fills the cached property
     return model

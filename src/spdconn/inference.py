@@ -7,7 +7,8 @@ residual frame, and records the left-out subject's statistic for every
 region pair.  The flat refit is an arithmetic mean, so its statistic comes
 from the first two moments of the resampled controls' coordinates, computed
 for a block of iterations at a time; the tangent refit is a Fréchet fit per
-iteration.  In both, row ``k`` of the null depends only on the seed and
+iteration, started from the mean of the whole control group, which is
+fitted first.  In both, row ``k`` of the null depends only on the seed and
 ``k``.  Observed statistics for a test subject are then converted to
 empirical two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
@@ -158,11 +159,14 @@ _FLAT_BLOCK = 16
 
 def _resample(rng, s_count: int):
     """One bootstrap draw: the left-out control and the indices of a
-    surrogate of ``s_count`` controls drawn with replacement from the rest."""
-    indices = np.arange(s_count)
+    surrogate of ``s_count`` controls drawn with replacement from the rest.
+    These are the draws of ``rng.choice(rest, size=s_count)``: the same
+    integers from the same stream, shifted past ``left`` instead of looked
+    up in ``rest``."""
     left = int(rng.integers(s_count))
-    rest = indices[indices != left]
-    return left, rng.choice(rest, size=s_count, replace=True)
+    pick = rng.integers(s_count - 1, size=s_count)
+    pick += pick >= left  # skips the left-out control
+    return left, pick
 
 
 def _sum_in_order(rows: np.ndarray) -> np.ndarray:
@@ -204,6 +208,14 @@ def _flat_null(resid: np.ndarray, m: int, seed: int) -> np.ndarray:
     return values
 
 
+def _refit_row(model: GroupModel, mats, left: int, pick, config) -> np.ndarray:
+    """A tangent null row: the left-out control's statistic against the
+    fit of the resample ``mats[pick]``, started from ``model``'s frame."""
+    refit = fit_stack(mats[pick], config, start=(model.frame, pick))
+    n_pairs = pair_count(model.n)
+    return t_statistic(refit.residuals[:, :n_pairs], refit.project(mats[left])[:n_pairs])
+
+
 def build_null(
     controls,
     m: int = 1000,
@@ -215,6 +227,11 @@ def build_null(
     """Build the per-pair null distribution by leave-one-out bootstrap.
 
     The null carries the group model fitted to the complete control group.
+    That fit comes first, so a control group whose intrinsic mean does not
+    converge fails before the bootstrap.  Each tangent surrogate fit starts
+    from it: the first Newton step takes the resample's gradient and
+    operator from the control group's last Fréchet iteration, and the fit
+    converges to the surrogate's own mean within the gradient tolerance.
     A flat surrogate fit is an arithmetic mean, which cannot fail, so the
     flat null is computed from the moments of each resample without a fit
     per iteration; its rows equal the per-iteration refits' statistics up
@@ -244,7 +261,8 @@ def build_null(
     Raises
     ------
     ConvergenceError
-        If more than 10% of tangent fits fail across the whole run.
+        If the fit of the control group fails, or more than 10% of the
+        tangent surrogate fits fail across the whole run.
     """
     check_parametrization(parametrization)
     if m < 1:
@@ -255,8 +273,8 @@ def build_null(
         raise InvalidInputError("need at least 3 controls to build a null")
 
     n_pairs = pair_count(mats.shape[-1])
+    model = fit_stack(mats, config, parametrization, region_names=names)
     if parametrization == FLAT:
-        model = fit_stack(mats, config, FLAT, region_names=names)
         return NullDistribution(model, _flat_null(model.residuals[:, :n_pairs], m, seed), seed)
 
     values = np.empty((m, n_pairs))
@@ -269,14 +287,10 @@ def build_null(
         for _ in range(retry_cap):
             left, pick = _resample(rng, s_count)
             try:
-                model = fit_stack(mats[pick], config)
-                left_vec = model.project(mats[left])
+                values[it] = _refit_row(model, mats, left, pick, config)
             except _FIT_FAILURES:
                 n_failures += 1
                 continue
-            values[it] = t_statistic(
-                model.residuals[:, :n_pairs], left_vec[:n_pairs]
-            )
             break
         else:
             raise ConvergenceError(
@@ -286,7 +300,6 @@ def build_null(
         raise ConvergenceError(
             f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)"
         )
-    model = fit_stack(mats, config, parametrization, region_names=names)
     return NullDistribution(model, values, seed, n_failures)
 
 

@@ -1,9 +1,10 @@
 """Reference results of the full pipeline at three fixed seeds.
 
 ``tests/data/golden.npz`` holds these results as computed once the
-intrinsic mean took Newton steps (it was regenerated then, at the same
-seeds; before, it held the results of commit ba73681);
-``test_golden.py`` recomputes them and compares.  Floating-point results
+bootstrap refits started from the mean of the whole control group.  That
+was its second regeneration, at the same seeds: the first came when the
+intrinsic mean took Newton steps, and before that it held the results of
+commit ba73681.  ``test_golden.py`` recomputes them and compares.  Floating-point results
 may move by rounding only, while p-values, ROC points and iteration and
 failure counts must not move at all.  Regenerate the file only for an
 intended change of results:

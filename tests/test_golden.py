@@ -1,6 +1,8 @@
 """The pipeline still returns the results recorded in ``data/golden.npz``,
 and those stay within rounding of the unit-step Fréchet iteration that the
-Newton steps replaced."""
+Newton steps replaced and of bootstrap refits started at the arithmetic
+mean of each resample, which the warm start from the control group's mean
+replaced."""
 
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 from spdconn import group
 from golden import golden_cases
-from test_group import unit_step_frechet
+from test_group import cold_frechet, unit_step_frechet
 
 GOLDEN = Path(__file__).parent / "data" / "golden.npz"
 # Quantities that rounding must never move: counts, p-values, ROC points.
@@ -58,3 +60,16 @@ def test_newton_rebase_against_unit_step(computed, monkeypatch):
             assert np.allclose(got, want, rtol=0, atol=1e-7), key
         elif quantity in ("null_failures", "test_p", "roc_fpr", "roc_tpr"):
             assert np.array_equal(got, want), key
+
+
+def test_warm_start_rebase_against_cold_start(computed, monkeypatch):
+    # the fixture was regenerated again when the bootstrap refits started
+    # from the control group's mean; only the tangent null moves, and no
+    # p-value, ROC point or count with it
+    monkeypatch.setattr(group, "_frechet", cold_frechet)
+    cold = golden_cases()
+    for key, got in computed.items():
+        if key.endswith("/tangent/null_values"):
+            assert np.allclose(got, cold[key], rtol=0, atol=1e-7), key
+        else:
+            assert np.array_equal(got, cold[key]), key

@@ -27,6 +27,7 @@ from spdconn.geometry import eig_apply, eig_decompose, spd_expm, symmetrize, vec
 from spdconn.estimators import as_correlation_matrices
 from spdconn.group import (
     _CG_TOLERANCE,
+    _frechet,
     _log_derivative,
     _log_weights,
     _newton_step,
@@ -148,19 +149,26 @@ class TestNewtonStep:
         assert np.linalg.norm(residual) <= _CG_TOLERANCE * np.linalg.norm(gradient)
 
 
-def unit_step_frechet(stack, config=FrechetConfig()):
+def unit_step_frechet(stack, config=FrechetConfig(), start=None):
     """Reference: the unit-step fixed point that the Newton steps replaced,
     ``M <- M^1/2 expm(G) M^1/2`` with ``G`` the mean log of the whitened
-    rows, decomposing every row; returns what ``group._frechet`` returns."""
+    rows, decomposing every row and started at the arithmetic mean; returns
+    what ``group._frechet`` returns, without a frame."""
     mean = symmetrize(stack.mean(axis=0))
     for iteration in range(config.max_iterations):
         root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
         step = eig_apply(whiten(inv_root, stack), np.log).mean(axis=0)
         gradient_norm = float(np.linalg.norm(step))
         if gradient_norm <= config.gradient_tolerance:
-            return mean, inv_root, iteration, gradient_norm
+            return mean, inv_root, iteration, gradient_norm, None
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise ConvergenceError("reference fit did not converge", gradient_norm)
+
+
+def cold_frechet(stack, config=FrechetConfig(), start=None):
+    """Reference: ``group._frechet`` ignoring its warm start, so every fit
+    starts at the arithmetic mean of its rows."""
+    return _frechet(stack, config)
 
 
 def newton_every_row(stack, config=FrechetConfig()):
@@ -221,6 +229,85 @@ class TestRepeatedMembers:
         it = fit_stack(stack).frechet_iterations
         # per iteration: the mean and each distinct member; per step: expm
         assert sum(counted) == (distinct + 1) * (it + 1) + it
+
+
+def warm_case(seed, n=6, s_count=20, repeat=None):
+    """Controls and one bootstrap resample of them, drawn as ``build_null``
+    draws it: ``s_count`` rows with replacement from all but one control.
+    ``repeat = (i, j)`` makes control ``j`` a copy of control ``i``."""
+    rng = np.random.default_rng(seed)
+    controls = symmetrize(
+        [0.4 * random_spd(rng, n) + 0.6 * np.eye(n) for _ in range(s_count)]
+    )
+    if repeat is not None:
+        controls[repeat[1]] = controls[repeat[0]]
+    left = int(rng.integers(s_count))
+    pick = rng.choice(np.delete(np.arange(s_count), left), size=s_count, replace=True)
+    return controls, pick
+
+
+def warm_and_cold(controls, pick, config=FrechetConfig()):
+    """The fit of ``controls[pick]`` started from the frame of the fit of
+    ``controls``, and the same fit started at the arithmetic mean."""
+    full = fit_stack(controls, config)
+    warm = fit_stack(controls[pick], config, start=(full.frame, pick))
+    return warm, fit_stack(controls[pick], config)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_decomposition_round_fewer(self, seed, monkeypatch):
+        controls, pick = warm_case(seed)
+        full = fit_stack(controls)
+        distinct = len(set(pick.tolist()))
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            counted.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        it = fit_stack(controls[pick], start=(full.frame, pick)).frechet_iterations
+        assert it >= 1
+        # the cold fit's (distinct + 1) (it + 1) + it without the first
+        # iteration's decompositions of the mean and of each member
+        assert sum(counted) == (distinct + 2) * it
+
+    def test_start_at_the_fixed_point_decomposes_nothing(self, monkeypatch):
+        controls, _ = warm_case(3)
+        full = fit_stack(controls)
+        monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
+        rows = np.arange(len(controls))
+        again = fit_stack(controls, start=(full.frame, rows))
+        assert again.frechet_iterations == 0
+        assert np.array_equal(again.mean, full.mean)
+        assert np.array_equal(again.residuals, full.residuals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_converges_to_the_cold_start_mean(self, seed):
+        controls, pick = warm_case(seed, n=8)
+        config = FrechetConfig()
+        warm, cold = warm_and_cold(controls, pick, config)
+        assert np.linalg.norm(warm.mean - cold.mean) <= 1e-8 * np.linalg.norm(cold.mean)
+        assert abs(warm.sigma - cold.sigma) <= 1e-8 * cold.sigma
+        assert warm.gradient_norm <= config.gradient_tolerance
+        # the gradient at exit is the mean log at the returned mean
+        inv_root = eig_apply(warm.mean, lambda e: 1.0 / np.sqrt(e))
+        gradient = eig_apply(whiten(inv_root, controls[pick]), np.log).mean(axis=0)
+        assert abs(np.linalg.norm(gradient) - warm.gradient_norm) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_controls_with_a_repeated_matrix(self, seed):
+        controls, pick = warm_case(seed, repeat=(2, 5))
+        frame = fit_stack(controls).frame
+        assert len(frame.distinct) == len(controls) - 1
+        assert frame.members[5] == frame.members[2]
+        pick[:3] = [2, 5, 5]  # the repeated matrix under both of its rows
+        warm, cold = warm_and_cold(controls, pick)
+        assert np.linalg.norm(warm.mean - cold.mean) <= 1e-8 * np.linalg.norm(cold.mean)
+        assert np.allclose(warm.residuals, cold.residuals, rtol=0, atol=1e-8)
+        assert np.array_equal(warm.frame.distinct[warm.frame.members], controls[pick])
 
 
 def deviation(mean, subject) -> np.ndarray:

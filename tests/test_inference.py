@@ -18,8 +18,10 @@ from spdconn import (
     t_statistic,
     test_patient,
 )
+from spdconn import group, inference
 from spdconn.group import fit_stack
-from spdconn.inference import _FLAT_BLOCK
+from spdconn.inference import _FLAT_BLOCK, _resample
+from test_group import cold_frechet
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +134,101 @@ class TestBuildNull:
         with pytest.raises(InvalidInputError):
             build_null(control_mats[:2], m=5, seed=0)
 
-    def test_abort_on_persistent_fit_failure(self, control_mats):
-        # an impossible tolerance makes every surrogate fit fail
+    def test_abort_on_persistent_fit_failure(self, control_mats, monkeypatch):
+        refits = failing_refits(monkeypatch, lambda pick: True)
+        with pytest.raises(ConvergenceError, match="bootstrap iteration 0 failed 2 times in a row"):
+            build_null(control_mats, m=10, seed=0)
+        assert len(refits) == 2
+
+    def test_abort_when_over_a_tenth_of_fits_fail(self, control_mats, monkeypatch):
+        failing_refits(monkeypatch, first_draws(len(control_mats), seed=0, iterations=[0, 4]))
+        with pytest.raises(ConvergenceError, match=r"2 failed fits over 10 bootstrap iterations \(> 10%\)"):
+            build_null(control_mats, m=10, seed=0)
+
+    def test_failed_refits_are_retried(self, control_mats, monkeypatch):
+        clean = build_null(control_mats, m=30, seed=2)
+        failed = [3, 11, 20]
+        failing_refits(monkeypatch, first_draws(len(control_mats), seed=2, iterations=failed))
+        null = build_null(control_mats, m=30, seed=2)
+        assert null.n_failures == len(failed)
+        kept = np.setdiff1d(np.arange(30), failed)
+        assert np.array_equal(null.values[kept], clean.values[kept])
+        # a retried iteration takes the next draw of its own generator
+        assert not np.any(np.all(null.values[failed] == clean.values[failed], axis=1))
+
+    def test_control_group_that_does_not_converge_fails_first(self, control_mats, monkeypatch):
+        refits = failing_refits(monkeypatch, lambda pick: False)
+        # an impossible tolerance makes the fit of the control group fail
         cfg = FrechetConfig(max_iterations=1, gradient_tolerance=1e-18)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
             build_null(control_mats, m=10, seed=0, config=cfg)
+        assert refits == []
+
+    def test_warm_started_refits_match_cold_ones(self, control_mats, monkeypatch):
+        warm = build_null(control_mats, m=30, seed=5)
+        monkeypatch.setattr(group, "_frechet", cold_frechet)
+        cold = build_null(control_mats, m=30, seed=5)
+        np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-7)
+        assert warm.n_failures == cold.n_failures == 0
+
+    def test_resamples_of_one_control_with_three_controls(self, monkeypatch):
+        # S=3: about a quarter of the resamples draw one control three times;
+        # their spread is zero and the floored sd puts the row near 1e11
+        mats, _ = sample_population(SimConfig(n=6, n_controls=3, seed=3, k_diffs=2))
+        warm = build_null(mats, m=40, seed=0)
+        monkeypatch.setattr(group, "_frechet", cold_frechet)
+        cold = build_null(mats, m=40, seed=0)
+        single = np.array([
+            len(set(_resample(np.random.default_rng([0, k]), 3)[1].tolist())) == 1
+            for k in range(40)
+        ])
+        assert single.sum() == 7
+        assert np.all(np.abs(warm.values[single]) >= 1e9)
+        assert np.all(np.abs(warm.values[~single]) < 1e9)
+        np.testing.assert_allclose(warm.values[single], cold.values[single], rtol=1e-7)
+        np.testing.assert_allclose(warm.values[~single], cold.values[~single], rtol=0, atol=1e-7)
+
+
+def failing_refits(monkeypatch, fails):
+    """Make a bootstrap refit of ``build_null`` raise ``ConvergenceError``
+    when ``fails(pick)`` holds for its resample; the fit of the whole
+    control group is left alone.  Returns the list of failed resamples."""
+    failed = []
+
+    def fit(stack, config=None, parametrization="tangent", region_names=None, start=None):
+        if start is not None and fails(start[1]):
+            failed.append(start[1])
+            raise ConvergenceError("forced refit failure", 1.0)
+        return fit_stack(stack, config, parametrization, region_names, start)
+
+    monkeypatch.setattr(inference, "fit_stack", fit)
+    return failed
+
+
+def first_draws(s_count, seed, iterations):
+    """A ``fails`` predicate for :func:`failing_refits`: true once for the
+    first resample of each listed bootstrap iteration."""
+    pending = {_resample(np.random.default_rng([seed, k]), s_count)[1].tobytes()
+               for k in iterations}
+
+    def fails(pick):
+        if pick.tobytes() in pending:
+            pending.remove(pick.tobytes())
+            return True
+        return False
+
+    return fails
+
+
+@pytest.mark.parametrize("s_count", [3, 5, 8, 20])
+def test_resample_draws_as_choice_does(s_count):
+    for k in range(500):
+        rng, ref = np.random.default_rng([9, k]), np.random.default_rng([9, k])
+        left, pick = _resample(rng, s_count)
+        assert left == int(ref.integers(s_count))
+        rest = np.delete(np.arange(s_count), left)
+        assert np.array_equal(pick, ref.choice(rest, size=s_count, replace=True))
+        assert rng.integers(2**62) == ref.integers(2**62)  # the same stream after
 
 
 def flat_reference_row(mats, seed, k):
