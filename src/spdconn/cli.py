@@ -70,8 +70,16 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 def cmd_test(args) -> int:
     check_alpha(args.alpha)
+    if args.m < 1:
+        raise InvalidInputError(f"--m must be >= 1, got {args.m}")
+    _check_seed(args.seed)
     controls = _load_series(args.controls)
     patient = sio.read_time_series(args.patient)
     # refuse a mis-paired patient before the bootstrap, not after it
@@ -160,6 +168,7 @@ def cmd_simulate(args) -> int:
     requested = base.pop("parametrization", TANGENT)
     parametrizations = [TANGENT, FLAT] if requested == "both" else [requested]
     seed = int(base.pop("seed", 0))
+    _check_seed(seed)
     rows = []
     cell = 0
     for parametrization in parametrizations:

@@ -9,7 +9,10 @@ from the first two moments of the resampled controls' coordinates, computed
 for a block of iterations at a time; the tangent refit is a Fréchet fit per
 iteration, started from the mean of the whole control group, which is
 fitted first.  In both, row ``k`` of the null depends only on the seed and
-``k``.  Observed statistics for a test subject are then converted to
+``k``: iteration ``k`` draws what ``np.random.default_rng([seed, k])``
+draws.  The tangent null runs that generator; the flat null computes the
+draws of a chunk of iterations at once, hashing the seeds, stepping PCG64
+and bounding its outputs as numpy does, all vectorized over ``k``.  Observed statistics for a test subject are then converted to
 empirical two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
 """
@@ -169,6 +172,120 @@ def _resample(rng, s_count: int):
     return left, pick
 
 
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
+# its PCG64 generator (O'Neill's 128-bit default multiplier).
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+# Iterations whose draws are computed together by ``_resample_range``: the
+# draws of a chunk take a few ``(chunk, S)`` integer arrays.
+_DRAW_CHUNK = 1024
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's pool of four 32-bit words mixed from ``entropy``, a
+    list of uint32 arrays (one per entropy word) that broadcast together."""
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ value >> 16
+
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _mulhi64(a, b: int):
+    """High 64 bits of the 128-bit products ``a * b`` (uint64), from 32-bit
+    limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross = a_hi * b_lo + (a_lo * b_lo >> 32)
+    mid = a_lo * b_hi + (cross & _MASK32)
+    return a_hi * b_hi + (cross >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, ``state * MULT + inc`` modulo 2**128, on the states'
+    high and low uint64 words."""
+    prod_lo = lo * _PCG_MULT_LO
+    prod_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
+def _resample_range(seed: int, start: int, stop: int, s_count: int):
+    """The draws of iterations ``start <= k < stop`` at once: row
+    ``k - start`` of ``(left, pick)`` is
+    ``_resample(np.random.default_rng([seed, k]), s_count)``.
+
+    Each generator is seeded as numpy seeds it: the SeedSequence of the
+    entropy words of ``seed`` then ``k`` gives 4 uint64 words, the PCG64
+    state and increment.  Each PCG64 output (XSL-RR) gives two 32-bit
+    values, low half first, and a draw below ``bound`` is the high word of
+    ``value * bound`` (Lemire's method).  numpy redraws when the low word
+    falls below ``2**32 % bound``; rows where a low word falls below
+    ``bound`` include every such row and are drawn again by ``_resample``.
+    """
+    ks = np.arange(start, stop, dtype=np.uint64)
+    rest = int(seed)
+    entropy = [np.array([rest & _MASK32], np.uint32)]
+    while rest := rest >> 32:
+        entropy.append(np.array([rest & _MASK32], np.uint32))
+    pool = _seed_pool(entropy + [ks.astype(np.uint32)])
+    # generate_state(4, np.uint64): 8 hashed pool words, paired low word first
+    const = _HASH_INIT_B
+    state = []
+    for i in range(8):
+        word = pool[i % 4] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        word = word * const
+        state.append((word ^ word >> 16).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
+    # pcg64 seeding: inc = 2 seq + 1; state = step(step(0) + seed)
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+
+    n_words = 1 + s_count
+    words = np.empty((len(ks), n_words + 1), np.uint64)
+    for j in range(0, n_words, 2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        rot = hi >> 58
+        mixed = hi ^ lo
+        out = mixed >> rot | mixed << (64 - rot & 63)
+        words[:, j], words[:, j + 1] = out & _MASK32, out >> 32
+    bound = np.full(n_words, s_count - 1, np.uint64)
+    bound[0] = s_count
+    product = words[:, :n_words] * bound
+    draws = (product >> 32).astype(np.int64)
+    left, pick = draws[:, 0], draws[:, 1:]
+    pick += pick >= left[:, None]  # skips the left-out control
+    # an iteration k >= 2**32 has two entropy words, not one
+    redo = ((product & _MASK32) < bound).any(axis=1) | (ks > _MASK32)
+    for row in np.flatnonzero(redo):
+        left[row], pick[row] = _resample(np.random.default_rng([seed, start + int(row)]), s_count)
+    return left, pick
+
+
 def _sum_in_order(rows: np.ndarray) -> np.ndarray:
     """Sum over the first axis, adding the rows one after another."""
     total = rows[0].copy()
@@ -189,22 +306,24 @@ def _flat_null(resid: np.ndarray, m: int, seed: int) -> np.ndarray:
     ``std`` does, so a resample of one repeated control keeps its floored
     ``sd``.  Sums add the drawn rows in draw order, elementwise, so a row
     does not depend on the block it is computed in (a matrix product would
-    not promise that).
+    not promise that).  The draws come from ``_resample_range``, a chunk of
+    iterations at a time.
     """
     s_count, n_pairs = resid.shape
     scale = math.sqrt(1.0 + 1.0 / s_count)
     values = np.empty((m, n_pairs))
-    for start in range(0, m, _FLAT_BLOCK):
-        stop = min(start + _FLAT_BLOCK, m)
-        draws = [_resample(np.random.default_rng([seed, it]), s_count)
-                 for it in range(start, stop)]
-        left = np.array([d[0] for d in draws])
-        drawn = resid[np.array([d[1] for d in draws]).T]  # (S, block, P)
-        mu = _sum_in_order(drawn) / s_count
-        drawn -= mu
-        drawn *= drawn
-        sd = np.sqrt(_sum_in_order(drawn) / (s_count - 1))
-        values[start:stop] = (resid[left] - mu) / (np.maximum(sd, SD_FLOOR) * scale)
+    for chunk in range(0, m, _DRAW_CHUNK):
+        lefts, picks = _resample_range(seed, chunk, min(chunk + _DRAW_CHUNK, m), s_count)
+        for start in range(0, len(lefts), _FLAT_BLOCK):
+            left = lefts[start:start + _FLAT_BLOCK]
+            drawn = resid[picks[start:start + _FLAT_BLOCK].T]  # (S, block, P)
+            mu = _sum_in_order(drawn) / s_count
+            drawn -= mu
+            drawn *= drawn
+            sd = np.sqrt(_sum_in_order(drawn) / (s_count - 1))
+            values[chunk + start:chunk + start + len(left)] = (
+                (resid[left] - mu) / (np.maximum(sd, SD_FLOOR) * scale)
+            )
     return values
 
 
@@ -246,10 +365,12 @@ def build_null(
         Number of bootstrap iterations; every pair receives exactly ``m``
         statistics.
     seed : int
-        Master seed; iteration ``k`` uses generator seed ``(seed, k)``, so
-        in both parametrizations the result is reproducible and row ``k``
-        depends only on ``seed`` and ``k``: not on ``m`` or on the order
-        or grouping in which iterations run.
+        Master seed, a non-negative integer; iteration ``k`` draws what
+        ``np.random.default_rng([seed, k])`` draws, so in both
+        parametrizations the result is reproducible and row ``k`` depends
+        only on ``seed`` and ``k``: not on ``m`` or on the order or
+        grouping in which iterations run.  The flat null computes these
+        draws for a chunk of iterations at a time, in numpy.
 
     With very few controls, a resample can draw one control ``S`` times.
     Its spread is zero, its standard deviation is floored at ``SD_FLOOR``,
@@ -260,6 +381,9 @@ def build_null(
 
     Raises
     ------
+    InvalidInputError
+        If ``m < 1``, or ``seed`` is not a non-negative integer (a Python
+        or numpy integer), before any control is estimated.
     ConvergenceError
         If the fit of the control group fails, or more than 10% of the
         tangent surrogate fits fail across the whole run.
@@ -267,6 +391,8 @@ def build_null(
     check_parametrization(parametrization)
     if m < 1:
         raise InvalidInputError("bootstrap count m must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     mats, names = as_correlation_matrices(controls)
     s_count = mats.shape[0]
     if s_count < 3:

@@ -20,7 +20,7 @@ from spdconn import (
 )
 from spdconn import group, inference
 from spdconn.group import fit_stack
-from spdconn.inference import _FLAT_BLOCK, _resample
+from spdconn.inference import _DRAW_CHUNK, _FLAT_BLOCK, _resample, _resample_range
 from test_group import cold_frechet
 
 
@@ -134,6 +134,22 @@ class TestBuildNull:
         with pytest.raises(InvalidInputError):
             build_null(control_mats[:2], m=5, seed=0)
 
+    @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.0, "3", True, None])
+    def test_rejects_bad_seed_before_estimating(self, control_mats, monkeypatch, parametrization, seed):
+        estimated = []
+        monkeypatch.setattr(inference, "as_correlation_matrices", estimated.append)
+        with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+            build_null(control_mats, m=5, seed=seed, parametrization=parametrization)
+        assert estimated == []
+
+    @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
+    def test_numpy_integer_seeds(self, control_mats, parametrization):
+        reference = build_null(control_mats, m=6, seed=7, parametrization=parametrization)
+        for seed in (np.int32(7), np.uint64(7)):
+            null = build_null(control_mats, m=6, seed=seed, parametrization=parametrization)
+            assert np.array_equal(null.values, reference.values)
+
     def test_abort_on_persistent_fit_failure(self, control_mats, monkeypatch):
         refits = failing_refits(monkeypatch, lambda pick: True)
         with pytest.raises(ConvergenceError, match="bootstrap iteration 0 failed 2 times in a row"):
@@ -231,6 +247,51 @@ def test_resample_draws_as_choice_does(s_count):
         assert rng.integers(2**62) == ref.integers(2**62)  # the same stream after
 
 
+@pytest.mark.parametrize("s_count", [3, 4, 5, 8, 20, 33])
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 7, 2**32 - 1, 2**32, 2**61 + 12345, 2**64 - 1, 2**70 + 3, 2**130 + 9, np.uint64(2**63 + 5)],
+)
+def test_resample_range_draws_as_numpy_does(seed, s_count):
+    # two chunks as the flat null takes them, either side of a chunk boundary
+    ks = range(_DRAW_CHUNK - 30, _DRAW_CHUNK + 30)
+    chunks = [_resample_range(seed, ks.start, _DRAW_CHUNK, s_count),
+              _resample_range(seed, _DRAW_CHUNK, ks.stop, s_count)]
+    left = np.concatenate([c[0] for c in chunks])
+    pick = np.concatenate([c[1] for c in chunks])
+    for row, k in enumerate(ks):
+        ref_left, ref_pick = _resample(np.random.default_rng([seed, k]), s_count)
+        assert left[row] == ref_left
+        assert np.array_equal(pick[row], ref_pick)
+
+
+def test_resample_range_redraws_the_rows_numpy_rejects(monkeypatch):
+    # every iteration k < 20000 of seed 5 where numpy's bounded sampler
+    # rejects a draw at S=3000 and takes one more 32-bit value for it
+    s_count, seed = 3000, 5
+    rejected = [74, 213, 692, 3133, 4427, 12559, 17797]
+    redrawn = []
+
+    def counting(rng, s):
+        redrawn.append(s)
+        return _resample(rng, s)
+
+    monkeypatch.setattr(inference, "_resample", counting)
+    for k in rejected:
+        rng = np.random.default_rng([seed, k])
+        ref_left, ref_pick = _resample(rng, s_count)
+        # 1 + S values without a rejection: (S + 2) // 2 outputs, and the
+        # high half of the last one kept when 1 + S is odd
+        clean = np.random.default_rng([seed, k]).bit_generator
+        clean.advance((s_count + 2) // 2)
+        state = rng.bit_generator.state
+        assert (state["state"], state["has_uint32"]) != (clean.state["state"], (1 + s_count) % 2)
+        (left,), (pick,) = _resample_range(seed, k, k + 1, s_count)
+        assert left == ref_left
+        assert np.array_equal(pick, ref_pick)
+    assert redrawn == [s_count] * len(rejected)
+
+
 def flat_reference_row(mats, seed, k):
     """Row ``k`` of the flat null the way a per-iteration refit computes it:
     fit the resample, project the left-out control, take the statistic."""
@@ -248,22 +309,30 @@ class TestFlatNull:
     @pytest.mark.parametrize("seed", [0, 7, 123456789])
     def test_rows_match_per_iteration_refits(self, s_count, seed):
         mats, _ = sample_population(SimConfig(n=6, n_controls=s_count, sigma=0.1, seed=s_count, k_diffs=2))
-        null = build_null(mats, m=40, seed=seed, parametrization="flat")
-        reference = np.stack([flat_reference_row(mats, seed, k) for k in range(40)])
+        # the first rows, and rows either side of the first chunk boundary
+        ks = [*range(40), *range(_DRAW_CHUNK - 10, _DRAW_CHUNK + 10)]
+        null = build_null(mats, m=_DRAW_CHUNK + 10, seed=seed, parametrization="flat")
+        reference = np.stack([flat_reference_row(mats, seed, k) for k in ks])
+        values = null.values[ks]
         # a resample that repeats one control has sd below SD_FLOOR, and its
         # statistic, about 1e11, can only agree to a relative tolerance
         floored = np.abs(reference) > 1e9
         assert floored.any() == (s_count == 3)
-        np.testing.assert_allclose(null.values[~floored], reference[~floored], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(null.values[floored], reference[floored], rtol=1e-12)
+        np.testing.assert_allclose(values[~floored], reference[~floored], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(values[floored], reference[floored], rtol=1e-12)
         assert null.n_failures == 0
 
     @pytest.mark.parametrize(
-        "m", [1, _FLAT_BLOCK - 1, _FLAT_BLOCK, _FLAT_BLOCK + 1, 2 * _FLAT_BLOCK + 1]
+        "m",
+        [
+            1, _FLAT_BLOCK - 1, _FLAT_BLOCK, _FLAT_BLOCK + 1, 2 * _FLAT_BLOCK + 1,
+            _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1,
+        ],
     )
-    def test_row_does_not_depend_on_its_block(self, control_mats, m):
-        longest = build_null(control_mats, m=3 * _FLAT_BLOCK + 1, seed=4, parametrization="flat")
-        shorter = build_null(control_mats, m=m, seed=4, parametrization="flat")
+    def test_row_does_not_depend_on_its_block(self, m):
+        mats, _ = sample_population(SimConfig(n=6, n_controls=12, sigma=0.08, seed=11, k_diffs=4))
+        longest = build_null(mats, m=3 * _DRAW_CHUNK + 1, seed=4, parametrization="flat")
+        shorter = build_null(mats, m=m, seed=4, parametrization="flat")
         assert np.array_equal(longest.values[:m], shorter.values)
 
     def test_constant_pair_gives_zero(self, rng):

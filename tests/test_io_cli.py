@@ -289,8 +289,8 @@ class TestCliTest:
         assert main(args) == 0
         assert len(calls) == len(demo["controls"]) + 1
 
-    @pytest.mark.parametrize("case", ["alpha", "regions"])
-    def test_rejects_bad_arguments_before_bootstrap(self, demo, tmp_path, monkeypatch, case):
+    @pytest.mark.parametrize("case", ["alpha", "regions", "m", "seed"])
+    def test_rejects_bad_arguments_before_bootstrap(self, demo, tmp_path, monkeypatch, capsys, case):
         from spdconn import TimeSeries, group, inference
 
         fits = []
@@ -302,19 +302,24 @@ class TestCliTest:
 
         for module in (group, inference):
             monkeypatch.setattr(module, "fit_stack", counting)
-        patient, extra = demo["patient"], []
-        if case == "alpha":
-            extra = ["--alpha", "1.5"]
-        else:
+        patient = demo["patient"]
+        extra = {"alpha": ["--alpha", "1.5"], "m": ["--m", "0"], "seed": ["--seed", "-1"]}.get(case, [])
+        if case == "regions":
             ts = sio.read_time_series(patient)
             patient = str(tmp_path / "permuted.csv")
             write_series_csv(patient, TimeSeries(ts.values, ts.region_names[::-1]))
+        reads = []
+        read = sio.read_time_series
+        monkeypatch.setattr(sio, "read_time_series", lambda path: reads.append(path) or read(path))
         args = [
             "test", "--controls", *demo["controls"], "--patient", patient,
             "--m", "50", "--out", str(tmp_path / "r.csv"), *extra,
         ]
         assert main(args) == 1
         assert fits == []
+        assert capsys.readouterr().err.startswith("error: ")
+        # the arguments are checked before any CSV is read
+        assert (reads == []) == (case != "regions")
 
     def test_seed_changes_report(self, demo, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -423,6 +428,12 @@ class TestCliSimulate:
         out = tmp_path / "table.csv"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_negative_seed_fails(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--n", "6", "--n-controls", "8", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
