@@ -71,8 +71,8 @@ def cmd_fit(args) -> int:
 
 
 def _check_seed(seed):
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def cmd_test(args) -> int:
@@ -167,7 +167,7 @@ def cmd_simulate(args) -> int:
         d_grid = [d_grid]
     requested = base.pop("parametrization", TANGENT)
     parametrizations = [TANGENT, FLAT] if requested == "both" else [requested]
-    seed = int(base.pop("seed", 0))
+    seed = base.pop("seed", 0)
     _check_seed(seed)
     rows = []
     cell = 0

@@ -12,8 +12,9 @@ fitted first.  In both, row ``k`` of the null depends only on the seed and
 ``k``: iteration ``k`` draws what ``np.random.default_rng([seed, k])``
 draws.  The tangent null runs that generator; the flat null computes the
 draws of a chunk of iterations at once, hashing the seeds, stepping PCG64
-and bounding its outputs as numpy does, all vectorized over ``k``.  Observed statistics for a test subject are then converted to
-empirical two-sided p-values against the pooled per-pair nulls and
+and bounding its outputs as numpy does, all vectorized over ``k``.
+Observed statistics for a test subject are then converted to empirical
+two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
 """
 
@@ -180,8 +181,8 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-# Iterations whose draws are computed together by ``_resample_range``: the
-# draws of a chunk take a few ``(chunk, S)`` integer arrays.
+# Iterations per ``_resample_range`` call of the flat null: its temporaries,
+# a few ``(chunk, S + 2)`` integer arrays, stay small whatever ``m`` is.
 _DRAW_CHUNK = 1024
 
 

@@ -429,10 +429,18 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_negative_seed_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source, seed", [("flag", -1), ("config", -1), ("config", 2.7)])
+    def test_bad_seed_fails(self, tmp_path, capsys, source, seed):
+        args = ["simulate", "--n", "6", "--n-controls", "8"]
+        if source == "flag":
+            args += ["--seed", str(seed)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"seed": seed}))
+            args += ["--config", str(cfg_path)]
         out = tmp_path / "t.csv"
-        assert main(["simulate", "--n", "6", "--n-controls", "8", "--seed", "-1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
         assert not out.exists()
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
