@@ -13,15 +13,7 @@ import numpy as np
 
 from . import io as sio
 from .estimators import correlation_matrix, residualize_confounds
-from .exceptions import (
-    ConfigurationError,
-    ConvergenceError,
-    DegenerateInputError,
-    DegenerateModelError,
-    InvalidInputError,
-    NearSingularError,
-    NumericRangeError,
-)
+from .exceptions import ConfigurationError, InvalidInputError, SpdconnError
 from .group import (
     FLAT,
     TANGENT,
@@ -30,19 +22,10 @@ from .group import (
     leave_one_out_scores,
     log_likelihood,
 )
-from .inference import build_null, check_alpha, test_patient
+from .inference import build_null, check_alpha, check_integer, test_patient
 from .simulate import SimConfig, cell_seed, roc_experiment
 
-_ERRORS = (
-    ConfigurationError,
-    ConvergenceError,
-    DegenerateInputError,
-    DegenerateModelError,
-    InvalidInputError,
-    NearSingularError,
-    NumericRangeError,
-    OSError,
-)
+_ERRORS = (SpdconnError, OSError)
 
 
 def _load_series(paths, confound_paths=None):
@@ -70,16 +53,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def cmd_test(args) -> int:
     check_alpha(args.alpha)
-    if args.m < 1:
-        raise InvalidInputError(f"--m must be >= 1, got {args.m}")
-    _check_seed(args.seed)
+    check_integer("--m", args.m, 1)
+    check_integer("seed", args.seed, 0)
     controls = _load_series(args.controls)
     patient = sio.read_time_series(args.patient)
     # refuse a mis-paired patient before the bootstrap, not after it
@@ -147,14 +124,10 @@ def _simulate_config(args) -> dict:
             )
         if base.get("sigma_star") is not None:
             base["sigma_star"] = np.asarray(base["sigma_star"], dtype=np.float64)
-    for key in ("n", "n_controls", "sigma", "k_diffs", "m", "seed", "n_patients"):
-        value = getattr(args, key)
+    for key in _SIM_KEYS:
+        value = getattr(args, key, None)  # sigma_star has no flag
         if value is not None:
             base[key] = value
-    if args.d_sigma is not None:
-        base["d_sigma"] = args.d_sigma
-    if args.parametrization is not None:
-        base["parametrization"] = args.parametrization
     base.setdefault("n", 15)
     base.setdefault("n_controls", 20)
     return base
@@ -168,7 +141,7 @@ def cmd_simulate(args) -> int:
     requested = base.pop("parametrization", TANGENT)
     parametrizations = [TANGENT, FLAT] if requested == "both" else [requested]
     seed = base.pop("seed", 0)
-    _check_seed(seed)
+    check_integer("seed", seed, 0)
     rows = []
     cell = 0
     for parametrization in parametrizations:

@@ -1,27 +1,31 @@
 """Exception types raised by the geometry, estimation, and testing pipelines."""
 
 
-class InvalidInputError(ValueError):
+class SpdconnError(Exception):
+    """Base of every spdconn exception; each also keeps its builtin base."""
+
+
+class InvalidInputError(SpdconnError, ValueError):
     """Input data is malformed: non-finite values, shape mismatch, or bad labels."""
 
 
-class NearSingularError(ValueError):
+class NearSingularError(SpdconnError, ValueError):
     """A matrix has eigenvalues below the relative SPD floor."""
 
 
-class NumericRangeError(OverflowError):
+class NumericRangeError(SpdconnError, OverflowError):
     """A matrix function would overflow the floating-point range."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(SpdconnError, ValueError):
     """Input carries no usable signal (e.g. an all-constant time series)."""
 
 
-class DegenerateModelError(ValueError):
+class DegenerateModelError(SpdconnError, ValueError):
     """Group model has zero dispersion, so likelihoods are undefined."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(SpdconnError, RuntimeError):
     """An iterative fit did not reach tolerance within the iteration budget."""
 
     def __init__(self, message, gradient_norm=None):
@@ -29,5 +33,5 @@ class ConvergenceError(RuntimeError):
         self.gradient_norm = gradient_norm
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(SpdconnError, ValueError):
     """Simulation configuration is out of the domain where sampling is valid."""

@@ -40,7 +40,7 @@ def _check_square(m):
         raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
 
 
-def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
+def validate_spd(m) -> np.ndarray:
     """Symmetrize ``m`` and verify it lies inside the SPD cone.
 
     Raises
@@ -48,7 +48,7 @@ def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
     InvalidInputError
         If entries are non-finite or the matrix is not square.
     NearSingularError
-        If the smallest eigenvalue is not above ``floor`` times the largest.
+        If the smallest eigenvalue is at most ``SPD_EIG_FLOOR`` times the largest.
     """
     m = np.asarray(m, dtype=np.float64)
     _check_square(m)
@@ -56,12 +56,12 @@ def validate_spd(m, floor: float = SPD_EIG_FLOOR) -> np.ndarray:
     m = symmetrize(m)
     eigvals = np.linalg.eigvalsh(m)
     lo, hi = eigvals.min(axis=-1), eigvals.max(axis=-1)
-    bad = (hi <= 0) | (lo <= floor * hi)
+    bad = (hi <= 0) | (lo <= SPD_EIG_FLOOR * hi)
     if np.any(bad):
         k = np.argmax(bad)
         raise NearSingularError(
             f"matrix is not positive definite within the eigenvalue floor "
-            f"(min {lo.flat[k]:.3e}, max {hi.flat[k]:.3e}, floor {floor:.1e} * max)"
+            f"(min {lo.flat[k]:.3e}, max {hi.flat[k]:.3e}, floor {SPD_EIG_FLOOR:.1e} * max)"
         )
     return m
 
@@ -87,7 +87,7 @@ def validate_spd_stack(mats) -> np.ndarray:
     return validate_spd(np.stack(mats))
 
 
-def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool | np.ndarray]:
+def clip_spd(m) -> tuple[np.ndarray, bool | np.ndarray]:
     """Project ``m`` onto the SPD cone by flooring its eigenvalues.
 
     Used on simulation reconstruction paths, where a large tangent
@@ -103,7 +103,7 @@ def clip_spd(m, floor: float = SPD_EIG_FLOOR) -> tuple[np.ndarray, bool | np.nda
     hi = eigvals.max(axis=-1, keepdims=True)
     if np.any(hi <= 0):
         raise NearSingularError("matrix has no positive eigenvalues; cannot clip")
-    lo = 2.0 * floor * hi
+    lo = 2.0 * SPD_EIG_FLOOR * hi
     clipped = eigvals.min(axis=-1) <= lo[..., 0]
     if np.any(clipped):
         raised = _rebuild(eigvecs, np.maximum(eigvals, lo))

@@ -383,17 +383,15 @@ def build_null(
     Raises
     ------
     InvalidInputError
-        If ``m < 1``, or ``seed`` is not a non-negative integer (a Python
-        or numpy integer), before any control is estimated.
+        If ``m`` is not an integer >= 1 or ``seed`` not one >= 0 (Python or
+        numpy integers), before any control is estimated.
     ConvergenceError
         If the fit of the control group fails, or more than 10% of the
         tangent surrogate fits fail across the whole run.
     """
     check_parametrization(parametrization)
-    if m < 1:
-        raise InvalidInputError("bootstrap count m must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    check_integer("m", m, 1)
+    check_integer("seed", seed, 0)
     mats, names = as_correlation_matrices(controls)
     s_count = mats.shape[0]
     if s_count < 3:
@@ -448,6 +446,14 @@ def check_alpha(alpha: float):
     """Raise ``InvalidInputError`` unless ``0 < alpha <= 1``."""
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def check_integer(name: str, value, minimum: int):
+    """Raise ``InvalidInputError`` unless ``value`` is a Python or numpy
+    integer, not a bool, and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
 
 
 def test_patient(

@@ -24,16 +24,18 @@ from .geometry import (
     vec_unembed,
 )
 from .group import TANGENT, check_parametrization, reconstruct
-from .inference import build_null, score
+from .inference import build_null, check_integer, score
 
 
-def default_group_correlation(n: int, decay: float = 0.3) -> np.ndarray:
+# control sampling aborts when more than this share of draws needed clipping
+MAX_CLIP_FRACTION = 0.1
+
+
+def default_group_correlation(n: int) -> np.ndarray:
     """Synthetic group correlation matrix with exponentially decaying
-    off-diagonals ``decay ** |i - j|``; SPD for ``|decay| < 1``."""
-    if not 0 <= abs(decay) < 1:
-        raise ConfigurationError("decay must satisfy |decay| < 1")
+    off-diagonals ``0.3 ** |i - j|``, which is SPD."""
     idx = np.arange(n)
-    return decay ** np.abs(idx[:, None] - idx[None, :])
+    return 0.3 ** np.abs(idx[:, None] - idx[None, :])
 
 
 @dataclass(frozen=True)
@@ -56,25 +58,22 @@ class SimConfig:
     m: int = 1000
     parametrization: str = TANGENT
     n_patients: int = 10
-    max_clip_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigurationError("n must be >= 2")
-        if self.n_controls < 3:
-            raise ConfigurationError("need at least 3 controls")
+        minimums = dict(n=2, n_controls=3, k_diffs=1, seed=0, m=1, n_patients=1)
+        try:
+            for name, minimum in minimums.items():
+                check_integer(name, getattr(self, name), minimum)
+        except InvalidInputError as exc:
+            raise ConfigurationError(str(exc)) from None
         if not self.sigma > 0:
             raise ConfigurationError("sigma must be > 0")
         if self.d_sigma < 0:
             raise ConfigurationError("d_sigma must be >= 0")
-        if not 1 <= self.k_diffs <= pair_count(self.n):
+        if self.k_diffs > pair_count(self.n):
             raise ConfigurationError(
                 f"k_diffs must be in [1, {pair_count(self.n)}] for n={self.n}"
             )
-        if self.m < 1:
-            raise ConfigurationError("m must be >= 1")
-        if self.n_patients < 1:
-            raise ConfigurationError("n_patients must be >= 1")
         check_parametrization(self.parametrization)
         if self.sigma_star is not None:
             object.__setattr__(self, "sigma_star", validate_spd(self.sigma_star))
@@ -116,7 +115,7 @@ def sample_population(
     Raises
     ------
     ConfigurationError
-        If more than ``max_clip_fraction`` of the draws needed clipping
+        If more than ``MAX_CLIP_FRACTION`` of the draws needed clipping
         (the dispersion is too large for the group matrix).
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
@@ -126,10 +125,10 @@ def sample_population(
     w = vec_unembed(rng.normal(0.0, cfg.sigma, (size, vec_dim(n))), n)
     mats = reconstruct(group, w)
     n_clipped = _clip_each(mats)
-    if n_clipped > cfg.max_clip_fraction * size:
+    if n_clipped > MAX_CLIP_FRACTION * size:
         raise ConfigurationError(
             f"{n_clipped}/{size} draws left the SPD cone: sigma={cfg.sigma} is too "
-            f"large for the group matrix (clip fraction > {cfg.max_clip_fraction})"
+            f"large for the group matrix (clip fraction > {MAX_CLIP_FRACTION})"
         )
     return mats, n_clipped
 

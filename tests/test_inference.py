@@ -144,6 +144,15 @@ class TestBuildNull:
         assert estimated == []
 
     @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
+    @pytest.mark.parametrize("m", [2.5, True, np.int64(0)])
+    def test_rejects_bad_m_before_estimating(self, control_mats, monkeypatch, parametrization, m):
+        estimated = []
+        monkeypatch.setattr(inference, "as_correlation_matrices", estimated.append)
+        with pytest.raises(InvalidInputError, match="m must be an integer >= 1"):
+            build_null(control_mats, m=m, seed=0, parametrization=parametrization)
+        assert estimated == []
+
+    @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
     def test_numpy_integer_seeds(self, control_mats, parametrization):
         reference = build_null(control_mats, m=6, seed=7, parametrization=parametrization)
         for seed in (np.int32(7), np.uint64(7)):

@@ -7,6 +7,7 @@ import pytest
 
 from spdconn import InvalidInputError, SimConfig, fit_from_matrices, sample_population, sample_time_series
 from spdconn import io as sio
+from spdconn import cli, exceptions
 from spdconn.cli import main
 
 
@@ -429,7 +430,7 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("source, seed", [("flag", -1), ("config", -1), ("config", 2.7)])
+    @pytest.mark.parametrize("source, seed", [("flag", -1), ("config", -1), ("config", 2.7), ("config", True)])
     def test_bad_seed_fails(self, tmp_path, capsys, source, seed):
         args = ["simulate", "--n", "6", "--n-controls", "8"]
         if source == "flag":
@@ -443,9 +444,36 @@ class TestCliSimulate:
         assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
         assert not out.exists()
 
+    def test_non_integer_config_count_fails(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "k_diffs": 3, "m": 2.5}))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: m must be an integer >= 1, got 2.5\n"
+        assert not out.exists()
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "bogus": 1}))
         code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
         assert code != 0
         assert "bogus" in capsys.readouterr().err
+
+
+SPDCONN_ERRORS = [
+    cls for cls in vars(exceptions).values()
+    if isinstance(cls, type) and cls.__module__ == exceptions.__name__
+]
+
+
+@pytest.mark.parametrize("error", SPDCONN_ERRORS, ids=lambda cls: cls.__name__)
+def test_cli_reports_every_spdconn_error(tmp_path, monkeypatch, capsys, error):
+    # a new exception class cannot slip past the CLI's catch
+    assert issubclass(error, exceptions.SpdconnError)
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_fit", fail)
+    assert main(["fit", "--controls", "a.csv", "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == "error: boom\n"

@@ -37,6 +37,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(n=5, n_controls=5, k_diffs=2, sigma_star=np.eye(4))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2.7), ("seed", True), ("n", 5.0), ("n_controls", 5.5),
+        ("k_diffs", 2.5), ("m", 2.5), ("m", True), ("n_patients", 1.5),
+    ])
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        fields = dict(n=5, n_controls=5, k_diffs=2)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=f"^{field} must be .*, got {value!r}$"):
+            SimConfig(**fields)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimConfig(n=np.int64(5), n_controls=np.int32(5), k_diffs=np.int64(2),
+                        seed=np.int64(3), m=np.int64(4), n_patients=np.uint8(2))
+        mats, _ = sample_population(cfg)
+        assert mats.shape == (5, 5, 5)
+
     def test_default_group_matrix(self):
         m = default_group_correlation(6)
         assert np.array_equal(np.diag(m), np.ones(6))
