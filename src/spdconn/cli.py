@@ -13,7 +13,13 @@ import numpy as np
 
 from . import io as sio
 from .estimators import correlation_matrix, residualize_confounds
-from .exceptions import ConfigurationError, InvalidInputError, SpdconnError
+from .exceptions import (
+    ConfigurationError,
+    InvalidInputError,
+    SpdconnError,
+    check_finite,
+    check_integer,
+)
 from .group import (
     FLAT,
     TANGENT,
@@ -22,7 +28,7 @@ from .group import (
     leave_one_out_scores,
     log_likelihood,
 )
-from .inference import build_null, check_alpha, check_integer, test_patient
+from .inference import build_null, check_alpha, test_patient
 from .simulate import SimConfig, cell_seed, roc_experiment
 
 _ERRORS = (SpdconnError, OSError)
@@ -138,6 +144,8 @@ def cmd_simulate(args) -> int:
     d_grid = base.pop("d_sigma", 0.0)
     if np.isscalar(d_grid):
         d_grid = [d_grid]
+    for d_sigma in d_grid:
+        check_finite("d_sigma", d_sigma)
     requested = base.pop("parametrization", TANGENT)
     parametrizations = [TANGENT, FLAT] if requested == "both" else [requested]
     seed = base.pop("seed", 0)

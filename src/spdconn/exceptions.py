@@ -1,4 +1,8 @@
-"""Exception types raised by the geometry, estimation, and testing pipelines."""
+"""Exception types raised by the geometry, estimation, and testing
+pipelines, and the checks of scalar arguments that raise them."""
+
+import math
+from numbers import Integral, Real
 
 
 class SpdconnError(Exception):
@@ -35,3 +39,18 @@ class ConvergenceError(SpdconnError, RuntimeError):
 
 class ConfigurationError(SpdconnError, ValueError):
     """Simulation configuration is out of the domain where sampling is valid."""
+
+
+def check_integer(name: str, value, minimum: int):
+    """Raise ``InvalidInputError`` unless ``value`` is a Python or numpy
+    integer, not a bool, and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_finite(name: str, value):
+    """Raise ``InvalidInputError`` unless ``value`` is a finite Python or
+    numpy real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")

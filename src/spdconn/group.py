@@ -14,7 +14,13 @@ from functools import cached_property
 import numpy as np
 
 from .estimators import as_correlation_matrices, as_region_names
-from .exceptions import ConvergenceError, DegenerateModelError, InvalidInputError
+from .exceptions import (
+    ConvergenceError,
+    DegenerateModelError,
+    InvalidInputError,
+    check_finite,
+    check_integer,
+)
 from .geometry import (
     eig_apply,
     eig_decompose,
@@ -41,8 +47,8 @@ class FrechetConfig:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
+        check_integer("max_iterations", self.max_iterations, 1)
+        check_finite("gradient_tolerance", self.gradient_tolerance)
         if not self.gradient_tolerance > 0:
             raise InvalidInputError("gradient_tolerance must be > 0")
 

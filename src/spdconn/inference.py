@@ -9,10 +9,11 @@ from the first two moments of the resampled controls' coordinates, computed
 for a block of iterations at a time; the tangent refit is a Fréchet fit per
 iteration, started from the mean of the whole control group, which is
 fitted first.  In both, row ``k`` of the null depends only on the seed and
-``k``: iteration ``k`` draws what ``np.random.default_rng([seed, k])``
-draws.  The tangent null runs that generator; the flat null computes the
-draws of a chunk of iterations at once, hashing the seeds, stepping PCG64
-and bounding its outputs as numpy does, all vectorized over ``k``.
+``k``: iteration ``k`` draws from the package's own stream of ``[seed, k]``,
+computed for a chunk of iterations at once by hashing the seeds, stepping
+PCG64 and bounding its outputs, all vectorized over ``k``.  That stream
+equals ``np.random.default_rng([seed, k])`` under numpy 2.4.6 (the tests
+check it), and a retried tangent fit continues it.
 Observed statistics for a test subject are then converted to empirical
 two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import as_correlation_matrices
-from .exceptions import ConvergenceError, InvalidInputError, NearSingularError
+from .exceptions import ConvergenceError, InvalidInputError, NearSingularError, check_integer
 from .group import (
     FLAT,
     TANGENT,
@@ -161,18 +162,6 @@ _FIT_FAILURES = (ConvergenceError, NearSingularError, np.linalg.LinAlgError)
 _FLAT_BLOCK = 16
 
 
-def _resample(rng, s_count: int):
-    """One bootstrap draw: the left-out control and the indices of a
-    surrogate of ``s_count`` controls drawn with replacement from the rest.
-    These are the draws of ``rng.choice(rest, size=s_count)``: the same
-    integers from the same stream, shifted past ``left`` instead of looked
-    up in ``rest``."""
-    left = int(rng.integers(s_count))
-    pick = rng.integers(s_count - 1, size=s_count)
-    pick += pick >= left  # skips the left-out control
-    return left, pick
-
-
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
 # its PCG64 generator (O'Neill's 128-bit default multiplier).
 _MASK32 = 0xFFFFFFFF
@@ -181,8 +170,9 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-# Iterations per ``_resample_range`` call of the flat null: its temporaries,
-# a few ``(chunk, S + 2)`` integer arrays, stay small whatever ``m`` is.
+# Iterations per ``_resample_range`` call of both nulls: its temporaries, a
+# few ``(chunk, S + 2)`` integer arrays, stay small whatever ``m`` is.  It
+# divides 2**32, so no chunk holds iterations on both sides of 2**32.
 _DRAW_CHUNK = 1024
 
 
@@ -233,25 +223,26 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
 
 
-def _resample_range(seed: int, start: int, stop: int, s_count: int):
-    """The draws of iterations ``start <= k < stop`` at once: row
-    ``k - start`` of ``(left, pick)`` is
-    ``_resample(np.random.default_rng([seed, k]), s_count)``.
+def _stream_words(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """The first ``count`` 32-bit values of the stream of each iteration
+    ``start <= k < stop``, as a ``(stop - start, count)`` uint64 array.
 
-    Each generator is seeded as numpy seeds it: the SeedSequence of the
-    entropy words of ``seed`` then ``k`` gives 4 uint64 words, the PCG64
-    state and increment.  Each PCG64 output (XSL-RR) gives two 32-bit
-    values, low half first, and a draw below ``bound`` is the high word of
-    ``value * bound`` (Lemire's method).  numpy redraws when the low word
-    falls below ``2**32 % bound``; rows where a low word falls below
-    ``bound`` include every such row and are drawn again by ``_resample``.
+    The stream of ``k`` is seeded as numpy seeds ``default_rng([seed, k])``:
+    the SeedSequence of the 32-bit entropy words of ``seed`` then ``k``
+    gives 4 uint64 words, the PCG64 state and increment.  Each PCG64 output
+    (XSL-RR) gives two 32-bit values, low half first.  An iteration at or
+    above 2**32 has two entropy words, so ``start`` and ``stop - 1`` must lie
+    on the same side of 2**32.
     """
     ks = np.arange(start, stop, dtype=np.uint64)
     rest = int(seed)
     entropy = [np.array([rest & _MASK32], np.uint32)]
     while rest := rest >> 32:
         entropy.append(np.array([rest & _MASK32], np.uint32))
-    pool = _seed_pool(entropy + [ks.astype(np.uint32)])
+    entropy.append(ks.astype(np.uint32))
+    if start > _MASK32:
+        entropy.append((ks >> 32).astype(np.uint32))
+    pool = _seed_pool(entropy)
     # generate_state(4, np.uint64): 8 hashed pool words, paired low word first
     const = _HASH_INIT_B
     state = []
@@ -266,24 +257,62 @@ def _resample_range(seed: int, start: int, stop: int, s_count: int):
     lo = inc_lo + seed_lo
     hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
 
-    n_words = 1 + s_count
-    words = np.empty((len(ks), n_words + 1), np.uint64)
-    for j in range(0, n_words, 2):
+    words = np.empty((len(ks), count + 1), np.uint64)
+    for j in range(0, count, 2):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         rot = hi >> 58
         mixed = hi ^ lo
         out = mixed >> rot | mixed << (64 - rot & 63)
         words[:, j], words[:, j + 1] = out & _MASK32, out >> 32
-    bound = np.full(n_words, s_count - 1, np.uint64)
+    return words[:, :count]
+
+
+def _resample_range(seed: int, start: int, stop: int, s_count: int):
+    """The first resamples of iterations ``start <= k < stop`` at once: row
+    ``k - start`` of ``(left, pick)`` is ``_resample_row(seed, k, s_count, 0)``,
+    drawn here from ``1 + S`` stream values per row.  A row where Lemire's
+    method rejects a value is drawn again by ``_resample_row``."""
+    words = _stream_words(seed, start, stop, 1 + s_count)
+    bound = np.full(1 + s_count, s_count - 1, np.uint64)
     bound[0] = s_count
-    product = words[:, :n_words] * bound
+    product = words * bound
     draws = (product >> 32).astype(np.int64)
     left, pick = draws[:, 0], draws[:, 1:]
     pick += pick >= left[:, None]  # skips the left-out control
-    # an iteration k >= 2**32 has two entropy words, not one
-    redo = ((product & _MASK32) < bound).any(axis=1) | (ks > _MASK32)
+    redo = ((product & _MASK32) < (1 << 32) % bound).any(axis=1)
     for row in np.flatnonzero(redo):
-        left[row], pick[row] = _resample(np.random.default_rng([seed, start + int(row)]), s_count)
+        left[row], pick[row] = _resample_row(seed, start + int(row), s_count, 0)
+    return left, pick
+
+
+def _row_values(seed: int, k: int, count: int):
+    """The 32-bit values of the stream of iteration ``k``, one at a time:
+    ``count`` are computed first, twice as many each time they run out."""
+    done = 0
+    while True:
+        yield from _stream_words(seed, k, k + 1, count)[0, done:].tolist()
+        done, count = count, 2 * count
+
+
+def _resample_row(seed: int, k: int, s_count: int, attempt: int):
+    """Resample ``attempt`` of iteration ``k``, the ``(attempt + 1)``-th on
+    the stream of ``k``: the left-out control, below ``S``, then ``S``
+    picks below ``S - 1`` shifted past it, as ``rng.integers(S)`` and
+    ``rng.choice(rest, size=S)`` draw them.  A draw below ``bound`` is the
+    high word of ``value * bound`` (Lemire's method); a value whose low
+    word falls below ``2**32 % bound`` is rejected for the next one."""
+    # a row redrawn for a rejection needs at least one value more
+    values = _row_values(seed, k, (attempt + 1) * (1 + s_count) + 4)
+    for _ in range(attempt + 1):
+        draws = []
+        for bound in [s_count] + [s_count - 1] * s_count:
+            threshold = (1 << 32) % bound
+            product = next(values) * bound
+            while product & _MASK32 < threshold:
+                product = next(values) * bound
+            draws.append(product >> 32)
+    left, pick = draws[0], np.array(draws[1:])
+    pick += pick >= left  # skips the left-out control
     return left, pick
 
 
@@ -366,12 +395,13 @@ def build_null(
         Number of bootstrap iterations; every pair receives exactly ``m``
         statistics.
     seed : int
-        Master seed, a non-negative integer; iteration ``k`` draws what
-        ``np.random.default_rng([seed, k])`` draws, so in both
+        Master seed, a non-negative integer.  Iteration ``k`` draws from
+        the package's stream of ``[seed, k]``, which equals
+        ``np.random.default_rng([seed, k])`` under numpy 2.4.6, and a
+        retried tangent fit continues that stream.  So in both
         parametrizations the result is reproducible and row ``k`` depends
         only on ``seed`` and ``k``: not on ``m`` or on the order or
-        grouping in which iterations run.  The flat null computes these
-        draws for a chunk of iterations at a time, in numpy.
+        grouping in which iterations run.
 
     With very few controls, a resample can draw one control ``S`` times.
     Its spread is zero, its standard deviation is floored at ``SD_FLOOR``,
@@ -408,9 +438,12 @@ def build_null(
     # the total failure rate over the abort threshold.
     retry_cap = max(1, math.ceil(0.1 * m) + 1)
     for it in range(m):
-        rng = np.random.default_rng([seed, it])
-        for _ in range(retry_cap):
-            left, pick = _resample(rng, s_count)
+        if it % _DRAW_CHUNK == 0:
+            lefts, picks = _resample_range(seed, it, min(it + _DRAW_CHUNK, m), s_count)
+        left, pick = lefts[it % _DRAW_CHUNK], picks[it % _DRAW_CHUNK]
+        for attempt in range(retry_cap):
+            if attempt:
+                left, pick = _resample_row(seed, it, s_count, attempt)
             try:
                 values[it] = _refit_row(model, mats, left, pick, config)
             except _FIT_FAILURES:
@@ -446,14 +479,6 @@ def check_alpha(alpha: float):
     """Raise ``InvalidInputError`` unless ``0 < alpha <= 1``."""
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-
-
-def check_integer(name: str, value, minimum: int):
-    """Raise ``InvalidInputError`` unless ``value`` is a Python or numpy
-    integer, not a bool, and at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
 
 
 def test_patient(

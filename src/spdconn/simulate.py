@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, InvalidInputError
+from .exceptions import ConfigurationError, InvalidInputError, check_finite, check_integer
 from .geometry import (
     clip_spd,
     pair_count,
@@ -24,7 +24,7 @@ from .geometry import (
     vec_unembed,
 )
 from .group import TANGENT, check_parametrization, reconstruct
-from .inference import build_null, check_integer, score
+from .inference import build_null, score
 
 
 # control sampling aborts when more than this share of draws needed clipping
@@ -64,6 +64,8 @@ class SimConfig:
         try:
             for name, minimum in minimums.items():
                 check_integer(name, getattr(self, name), minimum)
+            check_finite("sigma", self.sigma)
+            check_finite("d_sigma", self.d_sigma)
         except InvalidInputError as exc:
             raise ConfigurationError(str(exc)) from None
         if not self.sigma > 0:

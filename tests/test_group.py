@@ -108,6 +108,26 @@ class TestFrechetMean:
             assert model.frechet_iterations <= 10
 
 
+class TestFrechetConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iterations", 2.5, "max_iterations must be an integer >= 1, got 2.5"),
+        ("max_iterations", True, "max_iterations must be an integer >= 1, got True"),
+        ("max_iterations", 0, "max_iterations must be an integer >= 1, got 0"),
+        ("gradient_tolerance", "1e-8", "gradient_tolerance must be a finite number, got '1e-8'"),
+        ("gradient_tolerance", True, "gradient_tolerance must be a finite number, got True"),
+        ("gradient_tolerance", np.inf, "gradient_tolerance must be a finite number, got inf"),
+        ("gradient_tolerance", 0.0, "gradient_tolerance must be > 0"),
+    ])
+    def test_rejects_bad_fields(self, field, value, message):
+        with pytest.raises(InvalidInputError) as err:
+            FrechetConfig(**{field: value})
+        assert str(err.value) == message
+
+    def test_accepts_numpy_scalars(self, rng):
+        cfg = FrechetConfig(max_iterations=np.int64(50), gradient_tolerance=np.float32(1e-8))
+        assert fit_from_matrices([random_spd(rng, 3) for _ in range(4)], cfg).frechet_iterations <= 50
+
+
 class TestNewtonStep:
     @staticmethod
     def whitened_members(rng, n=5):

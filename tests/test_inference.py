@@ -20,7 +20,9 @@ from spdconn import (
 )
 from spdconn import group, inference
 from spdconn.group import fit_stack
-from spdconn.inference import _DRAW_CHUNK, _FLAT_BLOCK, _resample, _resample_range
+from spdconn.inference import (
+    _DRAW_CHUNK, _FLAT_BLOCK, _resample_range, _resample_row, _row_values, _stream_words,
+)
 from test_group import cold_frechet
 
 
@@ -203,10 +205,7 @@ class TestBuildNull:
         warm = build_null(mats, m=40, seed=0)
         monkeypatch.setattr(group, "_frechet", cold_frechet)
         cold = build_null(mats, m=40, seed=0)
-        single = np.array([
-            len(set(_resample(np.random.default_rng([0, k]), 3)[1].tolist())) == 1
-            for k in range(40)
-        ])
+        single = np.array([len(set(pick.tolist())) == 1 for pick in _resample_range(0, 0, 40, 3)[1]])
         assert single.sum() == 7
         assert np.all(np.abs(warm.values[single]) >= 1e9)
         assert np.all(np.abs(warm.values[~single]) < 1e9)
@@ -233,8 +232,7 @@ def failing_refits(monkeypatch, fails):
 def first_draws(s_count, seed, iterations):
     """A ``fails`` predicate for :func:`failing_refits`: true once for the
     first resample of each listed bootstrap iteration."""
-    pending = {_resample(np.random.default_rng([seed, k]), s_count)[1].tobytes()
-               for k in iterations}
+    pending = {_resample_row(seed, k, s_count, 0)[1].tobytes() for k in iterations}
 
     def fails(pick):
         if pick.tobytes() in pending:
@@ -245,15 +243,31 @@ def first_draws(s_count, seed, iterations):
     return fails
 
 
+def numpy_resample(rng, s_count):
+    """The reference of the package's draws: the left-out control and the
+    surrogate of ``rng.choice(rest, size=s_count)``, with the indices
+    shifted past ``left`` instead of looked up in ``rest``."""
+    left = int(rng.integers(s_count))
+    pick = rng.integers(s_count - 1, size=s_count)
+    pick += pick >= left  # skips the left-out control
+    return left, pick
+
+
+def assert_draws_equal(draws, reference):
+    assert draws[0] == reference[0]
+    assert np.array_equal(draws[1], reference[1])
+
+
 @pytest.mark.parametrize("s_count", [3, 5, 8, 20])
 def test_resample_draws_as_choice_does(s_count):
     for k in range(500):
-        rng, ref = np.random.default_rng([9, k]), np.random.default_rng([9, k])
-        left, pick = _resample(rng, s_count)
+        ref = np.random.default_rng([9, k])
+        left, pick = _resample_row(9, k, s_count, 0)
         assert left == int(ref.integers(s_count))
         rest = np.delete(np.arange(s_count), left)
         assert np.array_equal(pick, ref.choice(rest, size=s_count, replace=True))
-        assert rng.integers(2**62) == ref.integers(2**62)  # the same stream after
+        # a retry continues the same stream
+        assert_draws_equal(_resample_row(9, k, s_count, 1), numpy_resample(ref, s_count))
 
 
 @pytest.mark.parametrize("s_count", [3, 4, 5, 8, 20, 33])
@@ -262,16 +276,20 @@ def test_resample_draws_as_choice_does(s_count):
     [0, 1, 7, 2**32 - 1, 2**32, 2**61 + 12345, 2**64 - 1, 2**70 + 3, 2**130 + 9, np.uint64(2**63 + 5)],
 )
 def test_resample_range_draws_as_numpy_does(seed, s_count):
-    # two chunks as the flat null takes them, either side of a chunk boundary
-    ks = range(_DRAW_CHUNK - 30, _DRAW_CHUNK + 30)
-    chunks = [_resample_range(seed, ks.start, _DRAW_CHUNK, s_count),
-              _resample_range(seed, _DRAW_CHUNK, ks.stop, s_count)]
-    left = np.concatenate([c[0] for c in chunks])
-    pick = np.concatenate([c[1] for c in chunks])
-    for row, k in enumerate(ks):
-        ref_left, ref_pick = _resample(np.random.default_rng([seed, k]), s_count)
-        assert left[row] == ref_left
-        assert np.array_equal(pick[row], ref_pick)
+    # two chunks as both nulls take them, either side of a chunk boundary,
+    # and two either side of 2**32, where k becomes two entropy words
+    for start, mid, stop in [(_DRAW_CHUNK - 30, _DRAW_CHUNK, _DRAW_CHUNK + 30),
+                             (2**32 - 5, 2**32, 2**32 + 5)]:
+        chunks = [_resample_range(seed, start, mid, s_count), _resample_range(seed, mid, stop, s_count)]
+        left = np.concatenate([c[0] for c in chunks])
+        pick = np.concatenate([c[1] for c in chunks])
+        for row, k in enumerate(range(start, stop)):
+            assert_draws_equal((left[row], pick[row]), numpy_resample(np.random.default_rng([seed, k]), s_count))
+    # attempt a is the (a + 1)-th resample of one generator
+    for k in (0, 5, 2**32 + 1):
+        rng = np.random.default_rng([seed, k])
+        for attempt in range(3):
+            assert_draws_equal(_resample_row(seed, k, s_count, attempt), numpy_resample(rng, s_count))
 
 
 def test_resample_range_redraws_the_rows_numpy_rejects(monkeypatch):
@@ -279,26 +297,56 @@ def test_resample_range_redraws_the_rows_numpy_rejects(monkeypatch):
     # rejects a draw at S=3000 and takes one more 32-bit value for it
     s_count, seed = 3000, 5
     rejected = [74, 213, 692, 3133, 4427, 12559, 17797]
+    # iterations with a low word at or above numpy's threshold 2**32 % bound
+    # but below the bound: numpy takes that value, so nothing is redrawn
+    kept = [616, 1323]
     redrawn = []
 
-    def counting(rng, s):
-        redrawn.append(s)
-        return _resample(rng, s)
+    def counting(seed, k, s, attempt):
+        redrawn.append(k)
+        return _resample_row(seed, k, s, attempt)
 
-    monkeypatch.setattr(inference, "_resample", counting)
-    for k in rejected:
+    monkeypatch.setattr(inference, "_resample_row", counting)
+    for k in sorted(rejected + kept):
         rng = np.random.default_rng([seed, k])
-        ref_left, ref_pick = _resample(rng, s_count)
+        reference = numpy_resample(rng, s_count)
         # 1 + S values without a rejection: (S + 2) // 2 outputs, and the
         # high half of the last one kept when 1 + S is odd
         clean = np.random.default_rng([seed, k]).bit_generator
         clean.advance((s_count + 2) // 2)
         state = rng.bit_generator.state
-        assert (state["state"], state["has_uint32"]) != (clean.state["state"], (1 + s_count) % 2)
+        assert ((state["state"], state["has_uint32"]) != (clean.state["state"], (1 + s_count) % 2)) == (k in rejected)
         (left,), (pick,) = _resample_range(seed, k, k + 1, s_count)
-        assert left == ref_left
-        assert np.array_equal(pick, ref_pick)
-    assert redrawn == [s_count] * len(rejected)
+        assert_draws_equal((left, pick), reference)
+        assert_draws_equal(_resample_row(seed, k, s_count, 0), reference)
+    assert redrawn == rejected
+
+
+def test_stream_is_pinned():
+    # literal draws, so the stream stays the package's whatever numpy does
+    pinned = {  # (seed, k, S, attempt): (left, pick)
+        (0, 0, 5, 0): (4, [2, 2, 1, 1, 0]),
+        (7, 3, 20, 0): (14, [19, 10, 17, 6, 4, 2, 13, 0, 7, 1, 16, 2, 19, 18, 8, 4, 18, 9, 19, 17]),
+        (2**64 - 1, 11, 8, 0): (4, [1, 7, 5, 6, 0, 7, 6, 2]),
+        (3, 9, 5, 1): (2, [4, 3, 1, 1, 0]),
+        (3, 9, 5, 2): (0, [3, 3, 3, 3, 1]),
+        (1, 2**32 + 5, 6, 0): (0, [3, 2, 2, 2, 2, 5]),
+    }
+    for (seed, k, s_count, attempt), expected in pinned.items():
+        assert_draws_equal(_resample_row(seed, k, s_count, attempt), expected)
+    # the first rejection row at S=3000: its left, first and last picks and
+    # the sum of its picks
+    (range_left,), (range_pick,) = _resample_range(5, 74, 75, 3000)
+    for left, pick in [_resample_row(5, 74, 3000, 0), (range_left, range_pick)]:
+        assert (left, pick[:4].tolist(), pick[-4:].tolist(), int(pick.sum())) == (
+            1797, [560, 1560, 2190, 1871], [625, 431, 275, 246], 4509902
+        )
+
+
+def test_row_values_extend_the_stream():
+    # a row that runs out of computed values continues its stream
+    values = _row_values(3, 9, 1)
+    assert [next(values) for _ in range(40)] == _stream_words(3, 9, 10, 40)[0].tolist()
 
 
 def flat_reference_row(mats, seed, k):

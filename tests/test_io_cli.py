@@ -452,6 +452,21 @@ class TestCliSimulate:
         assert capsys.readouterr().err == "error: m must be an integer >= 1, got 2.5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sigma", "0.1", "sigma must be a finite number, got '0.1'"),
+        ("sigma", True, "sigma must be a finite number, got True"),
+        ("d_sigma", ["a"], "d_sigma must be a finite number, got 'a'"),
+        ("d_sigma", [0.5, None], "d_sigma must be a finite number, got None"),
+        ("d_sigma", "0.5", "d_sigma must be a finite number, got '0.5'"),
+    ])
+    def test_non_numeric_config_amplitude_fails(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "k_diffs": 3, "m": 5, key: value}))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "bogus": 1}))

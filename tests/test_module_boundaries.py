@@ -1,5 +1,6 @@
 """No module of the package uses another module's private names, only
-``geometry`` calls numpy's symmetric eigensolvers, every function the
+``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
+generator of ``numpy.random``, every function the
 benchmark's tracer relies on stays a public function, and the public API is
 the listed one."""
 
@@ -106,6 +107,42 @@ def test_eigensolvers_only_in_geometry(path):
     # one eigen kernel: every eigendecomposition goes through geometry
     uses = eigensolver_uses(path.read_text())
     assert bool(uses) == (path.name == "geometry.py"), uses
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """Attribute uses and imports of ``numpy.random`` in ``source``, however
+    numpy is bound."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+            found += [f"from {node.module} import {a.name}" for a in node.names
+                      if node.module.startswith("numpy.random") or a.name == "random"]
+    return found
+
+
+def test_guard_finds_numpy_random_uses():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random as npr\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "np.random.default_rng([0, 1]).integers(5)\n"
+        "np.linalg.norm(a)\n"
+    )
+    assert numpy_random_uses(source) == [
+        "import numpy.random", "from numpy import random",
+        "from numpy.random import default_rng", "np.random",
+    ]
+
+
+def test_inference_draws_without_numpy_random():
+    # the bootstrap's stream is the package's own: inference.py computes
+    # every draw and never runs one of numpy's generators
+    assert numpy_random_uses((PACKAGE / "inference.py").read_text()) == []
 
 
 def test_traced_names_are_public_functions():

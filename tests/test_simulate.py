@@ -47,6 +47,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"^{field} must be .*, got {value!r}$"):
             SimConfig(**fields)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", "0.1"), ("sigma", True), ("sigma", np.inf), ("sigma", np.nan),
+        ("d_sigma", "0.5"), ("d_sigma", False), ("d_sigma", np.inf), ("d_sigma", [0.5]),
+    ])
+    def test_rejects_non_finite_or_non_numeric_amplitudes(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a finite number, got "):
+            SimConfig(n=5, n_controls=5, k_diffs=2, **{field: value})
+
     def test_accepts_numpy_integers(self):
         cfg = SimConfig(n=np.int64(5), n_controls=np.int32(5), k_diffs=np.int64(2),
                         seed=np.int64(3), m=np.int64(4), n_patients=np.uint8(2))
