@@ -45,7 +45,6 @@ from .geometry import (
 from .group import (
     FLAT,
     TANGENT,
-    FrechetConfig,
     GroupModel,
     fit_from_matrices,
     fit_group_model,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -121,15 +120,17 @@ _SIM_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 def _simulate_config(args) -> dict:
     base = {}
     if args.config:
-        with open(args.config) as handle:
-            base = json.load(handle)
+        base = sio.read_json_object(args.config)
         unknown = set(base) - _SIM_KEYS
         if unknown:
             raise ConfigurationError(
                 f"{args.config}: unknown simulation keys {sorted(unknown)}"
             )
         if base.get("sigma_star") is not None:
-            base["sigma_star"] = np.asarray(base["sigma_star"], dtype=np.float64)
+            try:
+                base["sigma_star"] = np.asarray(base["sigma_star"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{args.config}: sigma_star: {exc}") from None
     for key in _SIM_KEYS:
         value = getattr(args, key, None)  # sigma_star has no flag
         if value is not None:
@@ -142,8 +143,10 @@ def _simulate_config(args) -> dict:
 def cmd_simulate(args) -> int:
     base = _simulate_config(args)
     d_grid = base.pop("d_sigma", 0.0)
-    if np.isscalar(d_grid):
+    if not isinstance(d_grid, list):
         d_grid = [d_grid]
+    if not d_grid:
+        raise ConfigurationError("d_sigma grid is empty; give at least one value")
     for d_sigma in d_grid:
         check_finite("d_sigma", d_sigma)
     requested = base.pop("parametrization", TANGENT)

@@ -18,8 +18,6 @@ from .exceptions import (
     ConvergenceError,
     DegenerateModelError,
     InvalidInputError,
-    check_finite,
-    check_integer,
 )
 from .geometry import (
     eig_apply,
@@ -39,18 +37,11 @@ FLAT = "flat"
 PARAMETRIZATIONS = (TANGENT, FLAT)
 
 
-@dataclass(frozen=True)
-class FrechetConfig:
-    """Stopping rule for the intrinsic-mean (Newton) iteration."""
-
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        check_integer("max_iterations", self.max_iterations, 1)
-        check_finite("gradient_tolerance", self.gradient_tolerance)
-        if not self.gradient_tolerance > 0:
-            raise InvalidInputError("gradient_tolerance must be > 0")
+# Stopping rule of the intrinsic-mean (Newton) iteration: stop once the
+# Frobenius norm of the gradient is at most GRADIENT_TOLERANCE, fail after
+# MAX_ITERATIONS iterations.
+GRADIENT_TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
 
 
 def check_parametrization(parametrization: str):
@@ -151,7 +142,7 @@ class TangentFrame:
     logs: np.ndarray
 
 
-def _frechet(mats: np.ndarray, config: FrechetConfig, start=None):
+def _frechet(mats: np.ndarray, start=None):
     """Intrinsic mean by Newton steps; returns the mean, its inverse
     square root, the iteration count, the gradient norm at exit and the
     :class:`TangentFrame` of the exit iteration.
@@ -188,20 +179,20 @@ def _frechet(mats: np.ndarray, config: FrechetConfig, start=None):
             )
         return np.sqrt(eigvals)
 
-    for iteration in range(config.max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         if iteration or start is None:
             root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
             eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, distinct), np.log)
         gradient = logs[inverse].mean(axis=0)
         gradient_norm = float(np.linalg.norm(gradient))
-        if gradient_norm <= config.gradient_tolerance:
+        if gradient_norm <= GRADIENT_TOLERANCE:
             members = np.arange(len(mats))[inverse]
             frame = TangentFrame(mean, root, inv_root, distinct, members, eigvals, eigvecs, logs)
             return mean, inv_root, iteration, gradient_norm, frame
         step = _newton_step(gradient, eigvecs, _log_weights(eigvals), inverse)
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise ConvergenceError(
-        f"intrinsic mean did not converge in {config.max_iterations} iterations "
+        f"intrinsic mean did not converge in {MAX_ITERATIONS} iterations "
         f"(gradient norm {gradient_norm:.3e})",
         gradient_norm,
     )
@@ -215,13 +206,13 @@ def _deviations(mean, inv_root, mats) -> np.ndarray:
     return whiten(inv_root, mats) - np.eye(mean.shape[-1])
 
 
-def frechet_mean(mats, config: FrechetConfig | None = None) -> np.ndarray:
+def frechet_mean(mats) -> np.ndarray:
     """Intrinsic mean of SPD matrices under the affine-invariant metric.
 
     Newton iteration on the zero of the gradient
     ``G = mean_s logm(W_s)``, ``W_s = M^-1/2 A_s M^-1/2``, started at the
-    arithmetic mean and stopped when the Frobenius norm of ``G`` falls below
-    the configured tolerance.  Each step is ``M <- M^1/2 expm(X) M^1/2``,
+    arithmetic mean and stopped once the Frobenius norm of ``G`` is at most
+    ``GRADIENT_TOLERANCE``.  Each step is ``M <- M^1/2 expm(X) M^1/2``,
     where ``X`` solves ``H[X] = G`` by conjugate gradients and ``-H`` is the
     derivative of the mean log of ``e^-X/2 W_s e^-X/2`` at ``X = 0`` (the
     Daleckii-Krein form of the derivative of ``logm``).  ``H >= I``, so the
@@ -236,15 +227,14 @@ def frechet_mean(mats, config: FrechetConfig | None = None) -> np.ndarray:
     Parameters
     ----------
     mats : sequence of (n, n) SPD arrays
-    config : FrechetConfig, optional
 
     Raises
     ------
     ConvergenceError
-        If the tolerance is not met within ``max_iterations``; carries the
+        If the tolerance is not met within ``MAX_ITERATIONS``; carries the
         last gradient norm.
     """
-    return _frechet(validate_spd_stack(mats), config or FrechetConfig())[0]
+    return _frechet(validate_spd_stack(mats))[0]
 
 
 def reconstruct(group_mean, deviation) -> np.ndarray:
@@ -304,7 +294,6 @@ class GroupModel:
 
 def fit_stack(
     stack: np.ndarray,
-    config: FrechetConfig | None = None,
     parametrization: str = TANGENT,
     region_names=None,
     start=None,
@@ -326,7 +315,7 @@ def fit_stack(
     if region_names is not None:
         region_names = as_region_names(region_names, stack.shape[-1])
     if parametrization == TANGENT:
-        fit = _frechet(stack, config or FrechetConfig(), start)
+        fit = _frechet(stack, start)
     else:
         fit = symmetrize(stack.mean(axis=0)), None, 0, 0.0, None
     mean, inv_root, iterations, gradient_norm, frame = fit
@@ -348,7 +337,6 @@ def fit_stack(
 
 def fit_from_matrices(
     mats,
-    config: FrechetConfig | None = None,
     parametrization: str = TANGENT,
     region_names=None,
 ) -> GroupModel:
@@ -359,12 +347,11 @@ def fit_from_matrices(
     ``sigma = sqrt(mean over subjects and coordinates of squared residual
     coordinates)``.
     """
-    return fit_stack(validate_spd_stack(mats), config, parametrization, region_names)
+    return fit_stack(validate_spd_stack(mats), parametrization, region_names)
 
 
 def fit_group_model(
     series,
-    config: FrechetConfig | None = None,
     parametrization: str = TANGENT,
 ) -> GroupModel:
     """Fit the group model from subject time series or matrices.
@@ -374,7 +361,7 @@ def fit_group_model(
     directly.
     """
     mats, names = as_correlation_matrices(series)
-    return fit_stack(mats, config, parametrization, region_names=names)
+    return fit_stack(mats, parametrization, region_names=names)
 
 
 def _log_density(model: GroupModel, mats) -> np.ndarray:
@@ -411,7 +398,6 @@ def log_likelihood(model: GroupModel, subject) -> float:
 def leave_one_out_scores(
     subjects,
     others=(),
-    config: FrechetConfig | None = None,
     parametrization: str = TANGENT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out likelihood protocol.
@@ -442,7 +428,7 @@ def leave_one_out_scores(
     other_scores = np.zeros(len(other_mats))
     for left in range(s_count):
         rest = np.delete(mats, left, axis=0)
-        model = fit_stack(rest, config, parametrization)
+        model = fit_stack(rest, parametrization)
         scores = _log_density(model, np.concatenate([mats[left : left + 1], other_mats]))
         subject_scores[left] = scores[0]
         other_scores += scores[1:]

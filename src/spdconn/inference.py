@@ -31,7 +31,6 @@ from .exceptions import ConvergenceError, InvalidInputError, NearSingularError, 
 from .group import (
     FLAT,
     TANGENT,
-    FrechetConfig,
     GroupModel,
     check_parametrization,
     check_region_names,
@@ -67,15 +66,19 @@ def empirical_pvalue(t, null_values):
     ``(0, 1]`` and monotone non-increasing in ``|t|``.  ``null_values`` is
     ``(m,)`` or ``(m, P)`` with finite values, one column per coordinate
     of ``t``; ``t`` broadcasts against a row of it, so it may be ``(P,)``
-    or ``(k, P)``.  The exceedances are counted by binary search in the
-    sorted ``|null|``, whose one copy is the only ``(m, P)`` temporary.
+    or ``(k, P)``.  A NaN in ``t`` raises ``InvalidInputError``; an
+    infinite ``t`` gets the smallest p-value.  The exceedances are counted
+    by binary search in the sorted ``|null|``, whose one copy is the only
+    ``(m, P)`` temporary.
     """
     null = np.abs(np.asarray(null_values, dtype=np.float64))
     if null.size == 0:
         raise InvalidInputError("empty null sample")
+    t = np.abs(np.broadcast_to(t, np.broadcast_shapes(np.shape(t), null.shape[1:])))
+    if np.isnan(t).any():
+        raise InvalidInputError("statistic is NaN")
     null.sort(axis=0)
     m = null.shape[0]
-    t = np.abs(np.broadcast_to(t, np.broadcast_shapes(np.shape(t), null.shape[1:])))
     if null.ndim == 1:
         below = np.searchsorted(null, t, side="left")
     else:
@@ -357,10 +360,10 @@ def _flat_null(resid: np.ndarray, m: int, seed: int) -> np.ndarray:
     return values
 
 
-def _refit_row(model: GroupModel, mats, left: int, pick, config) -> np.ndarray:
+def _refit_row(model: GroupModel, mats, left: int, pick) -> np.ndarray:
     """A tangent null row: the left-out control's statistic against the
     fit of the resample ``mats[pick]``, started from ``model``'s frame."""
-    refit = fit_stack(mats[pick], config, start=(model.frame, pick))
+    refit = fit_stack(mats[pick], start=(model.frame, pick))
     n_pairs = pair_count(model.n)
     return t_statistic(refit.residuals[:, :n_pairs], refit.project(mats[left])[:n_pairs])
 
@@ -371,7 +374,6 @@ def build_null(
     seed: int = 0,
     *,
     parametrization: str = TANGENT,
-    config: FrechetConfig | None = None,
 ) -> NullDistribution:
     """Build the per-pair null distribution by leave-one-out bootstrap.
 
@@ -428,7 +430,7 @@ def build_null(
         raise InvalidInputError("need at least 3 controls to build a null")
 
     n_pairs = pair_count(mats.shape[-1])
-    model = fit_stack(mats, config, parametrization, region_names=names)
+    model = fit_stack(mats, parametrization, region_names=names)
     if parametrization == FLAT:
         return NullDistribution(model, _flat_null(model.residuals[:, :n_pairs], m, seed), seed)
 
@@ -445,7 +447,7 @@ def build_null(
             if attempt:
                 left, pick = _resample_row(seed, it, s_count, attempt)
             try:
-                values[it] = _refit_row(model, mats, left, pick, config)
+                values[it] = _refit_row(model, mats, left, pick)
             except _FIT_FAILURES:
                 n_failures += 1
                 continue

@@ -38,6 +38,30 @@ def _atomic_write_text(path, text: str):
         raise
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, line ends untranslated; a file that does
+    not decode is refused by name."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not valid UTF-8: {exc}") from None
+
+
+def read_json_object(path) -> dict:
+    """Load a JSON object from a UTF-8 file; a file that does not decode,
+    does not parse or holds another JSON value raises ``InvalidInputError``
+    naming it."""
+    path = os.fspath(path)
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _detect_delimiter(line: str) -> str | None:
     for candidate in ("\t", ",", ";"):
         if candidate in line:
@@ -77,9 +101,7 @@ def read_time_series(path) -> TimeSeries:
     does not) or names the first faulty row.
     """
     path = os.fspath(path)
-    with open(path, "r", newline="") as handle:
-        content = handle.read()
-    lines = [ln for ln in content.splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if len(lines) < 3:
         raise InvalidInputError(
             f"{path}: need a header row and at least 2 time points"
@@ -119,11 +141,7 @@ def write_model(path, model: GroupModel):
 def read_model(path) -> GroupModel:
     """Load a model document; the stored matrix must pass the SPD check."""
     path = os.fspath(path)
-    try:
-        with open(path, "r") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json_object(path)
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise InvalidInputError(
             f"{path}: unsupported schema_version {doc.get('schema_version')!r}"

@@ -12,7 +12,6 @@ import pytest
 
 from spdconn import (
     ConfigurationError,
-    FrechetConfig,
     SimConfig,
     build_null,
     fit_from_matrices,
@@ -30,6 +29,7 @@ from spdconn import (
     test_patient,
     vec_embed,
 )
+from spdconn import group
 from spdconn.simulate import cell_seed
 from helpers import random_invertible, random_orthogonal, random_spd, random_symmetric
 
@@ -104,7 +104,7 @@ def test_02_ledoit_wolf_oracle_equivalence():
     )
 
 
-def test_03_frechet_mean_properties():
+def test_03_frechet_mean_properties(monkeypatch):
     rng = np.random.default_rng(303)
     # commuting family closed form
     q = random_orthogonal(rng, 6)
@@ -122,13 +122,13 @@ def test_03_frechet_mean_properties():
     perm = [cluster[k] for k in rng.permutation(7)]
     err_permutation = rel(frechet_mean(perm), frechet_mean(cluster))
 
-    cfg = FrechetConfig(gradient_tolerance=1e-9)
-    gradient_norm = fit_from_matrices(cluster, cfg).gradient_norm
+    monkeypatch.setattr(group, "GRADIENT_TOLERANCE", 1e-9)
+    gradient_norm = fit_from_matrices(cluster).gradient_norm
     ok = (
         err_commuting <= 1e-10
         and err_equivariance <= 1e-8
         and err_permutation <= 1e-10
-        and gradient_norm <= cfg.gradient_tolerance
+        and gradient_norm <= 1e-9
     )
     report(
         3,

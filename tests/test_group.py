@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spdconn import (
     ConvergenceError,
     DegenerateModelError,
-    FrechetConfig,
     GroupModel,
     InvalidInputError,
     SimConfig,
@@ -24,6 +23,7 @@ from spdconn import (
     vec_unembed,
 )
 from spdconn.geometry import eig_apply, eig_decompose, spd_expm, symmetrize, vec_embed, whiten
+from spdconn import group
 from spdconn.estimators import as_correlation_matrices
 from spdconn.group import (
     _CG_TOLERANCE,
@@ -75,10 +75,10 @@ class TestFrechetMean:
         rhs = g @ frechet_mean(mats) @ g.T
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
 
-    def test_gradient_condition_at_exit(self, rng):
+    def test_gradient_condition_at_exit(self, rng, monkeypatch):
         mats = [random_spd(rng, 5) for _ in range(6)]
-        cfg = FrechetConfig(gradient_tolerance=1e-9)
-        model = fit_from_matrices(mats, cfg)
+        monkeypatch.setattr(group, "GRADIENT_TOLERANCE", 1e-9)
+        model = fit_from_matrices(mats)
         mean = model.mean
         assert model.gradient_norm <= 1e-9
         # verify independently: mean log of whitened matrices
@@ -88,10 +88,12 @@ class TestFrechetMean:
         step = np.mean([spd_logm(inv_root @ m @ inv_root) for m in mats], axis=0)
         assert np.linalg.norm(step) <= 1e-9 * 1.001
 
-    def test_convergence_error_carries_gradient(self, rng):
+    def test_convergence_error_carries_gradient(self, rng, monkeypatch):
         mats = [random_spd(rng, 4) for _ in range(5)]
+        monkeypatch.setattr(group, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(group, "GRADIENT_TOLERANCE", 1e-15)
         with pytest.raises(ConvergenceError) as err:
-            frechet_mean(mats, FrechetConfig(max_iterations=1, gradient_tolerance=1e-15))
+            frechet_mean(mats)
         assert err.value.gradient_norm is not None
         assert err.value.gradient_norm > 0
 
@@ -106,26 +108,6 @@ class TestFrechetMean:
             rng = np.random.default_rng(seed)
             model = fit_from_matrices([random_spd(rng, n, cond) for _ in range(s_count)])
             assert model.frechet_iterations <= 10
-
-
-class TestFrechetConfig:
-    @pytest.mark.parametrize("field, value, message", [
-        ("max_iterations", 2.5, "max_iterations must be an integer >= 1, got 2.5"),
-        ("max_iterations", True, "max_iterations must be an integer >= 1, got True"),
-        ("max_iterations", 0, "max_iterations must be an integer >= 1, got 0"),
-        ("gradient_tolerance", "1e-8", "gradient_tolerance must be a finite number, got '1e-8'"),
-        ("gradient_tolerance", True, "gradient_tolerance must be a finite number, got True"),
-        ("gradient_tolerance", np.inf, "gradient_tolerance must be a finite number, got inf"),
-        ("gradient_tolerance", 0.0, "gradient_tolerance must be > 0"),
-    ])
-    def test_rejects_bad_fields(self, field, value, message):
-        with pytest.raises(InvalidInputError) as err:
-            FrechetConfig(**{field: value})
-        assert str(err.value) == message
-
-    def test_accepts_numpy_scalars(self, rng):
-        cfg = FrechetConfig(max_iterations=np.int64(50), gradient_tolerance=np.float32(1e-8))
-        assert fit_from_matrices([random_spd(rng, 3) for _ in range(4)], cfg).frechet_iterations <= 50
 
 
 class TestNewtonStep:
@@ -169,38 +151,38 @@ class TestNewtonStep:
         assert np.linalg.norm(residual) <= _CG_TOLERANCE * np.linalg.norm(gradient)
 
 
-def unit_step_frechet(stack, config=FrechetConfig(), start=None):
+def unit_step_frechet(stack, start=None):
     """Reference: the unit-step fixed point that the Newton steps replaced,
     ``M <- M^1/2 expm(G) M^1/2`` with ``G`` the mean log of the whitened
     rows, decomposing every row and started at the arithmetic mean; returns
     what ``group._frechet`` returns, without a frame."""
     mean = symmetrize(stack.mean(axis=0))
-    for iteration in range(config.max_iterations):
+    for iteration in range(group.MAX_ITERATIONS):
         root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
         step = eig_apply(whiten(inv_root, stack), np.log).mean(axis=0)
         gradient_norm = float(np.linalg.norm(step))
-        if gradient_norm <= config.gradient_tolerance:
+        if gradient_norm <= group.GRADIENT_TOLERANCE:
             return mean, inv_root, iteration, gradient_norm, None
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise ConvergenceError("reference fit did not converge", gradient_norm)
 
 
-def cold_frechet(stack, config=FrechetConfig(), start=None):
+def cold_frechet(stack, start=None):
     """Reference: ``group._frechet`` ignoring its warm start, so every fit
     starts at the arithmetic mean of its rows."""
-    return _frechet(stack, config)
+    return _frechet(stack)
 
 
-def newton_every_row(stack, config=FrechetConfig()):
+def newton_every_row(stack):
     """Reference fit: the Newton iteration decomposing every row of the
     stack, repeated rows included; returns mean, residuals, sigma,
     iterations."""
     mean = symmetrize(stack.mean(axis=0))
-    for iteration in range(config.max_iterations):
+    for iteration in range(group.MAX_ITERATIONS):
         root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
         eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, stack), np.log)
         gradient = logs.mean(axis=0)
-        if np.linalg.norm(gradient) <= config.gradient_tolerance:
+        if np.linalg.norm(gradient) <= group.GRADIENT_TOLERANCE:
             vecs = vec_embed(whiten(inv_root, stack) - np.eye(stack.shape[-1]))
             return mean, vecs, float(np.sqrt(np.mean(vecs**2))), iteration
         step = _newton_step(gradient, eigvecs, _log_weights(eigvals), slice(None))
@@ -266,12 +248,12 @@ def warm_case(seed, n=6, s_count=20, repeat=None):
     return controls, pick
 
 
-def warm_and_cold(controls, pick, config=FrechetConfig()):
+def warm_and_cold(controls, pick):
     """The fit of ``controls[pick]`` started from the frame of the fit of
     ``controls``, and the same fit started at the arithmetic mean."""
-    full = fit_stack(controls, config)
-    warm = fit_stack(controls[pick], config, start=(full.frame, pick))
-    return warm, fit_stack(controls[pick], config)
+    full = fit_stack(controls)
+    warm = fit_stack(controls[pick], start=(full.frame, pick))
+    return warm, fit_stack(controls[pick])
 
 
 class TestWarmStart:
@@ -307,11 +289,10 @@ class TestWarmStart:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_converges_to_the_cold_start_mean(self, seed):
         controls, pick = warm_case(seed, n=8)
-        config = FrechetConfig()
-        warm, cold = warm_and_cold(controls, pick, config)
+        warm, cold = warm_and_cold(controls, pick)
         assert np.linalg.norm(warm.mean - cold.mean) <= 1e-8 * np.linalg.norm(cold.mean)
         assert abs(warm.sigma - cold.sigma) <= 1e-8 * cold.sigma
-        assert warm.gradient_norm <= config.gradient_tolerance
+        assert warm.gradient_norm <= group.GRADIENT_TOLERANCE
         # the gradient at exit is the mean log at the returned mean
         inv_root = eig_apply(warm.mean, lambda e: 1.0 / np.sqrt(e))
         gradient = eig_apply(whiten(inv_root, controls[pick]), np.log).mean(axis=0)

@@ -5,7 +5,6 @@ import pytest
 
 from spdconn import (
     ConvergenceError,
-    FrechetConfig,
     InvalidInputError,
     SimConfig,
     TimeSeries,
@@ -105,6 +104,14 @@ class TestEmpiricalPvalue:
         with pytest.raises(InvalidInputError):
             empirical_pvalue(1.0, [])
 
+    def test_nan_statistic_raises_and_infinite_one_is_most_extreme(self):
+        null = np.linspace(-3.0, 3.0, 99 * 3).reshape(99, 3)
+        with pytest.raises(InvalidInputError, match="statistic is NaN"):
+            empirical_pvalue(np.array([np.nan, 0.0, np.inf]), null)
+        with pytest.raises(InvalidInputError, match="statistic is NaN"):
+            empirical_pvalue(np.nan, null[:, 0])
+        assert empirical_pvalue(np.array([np.inf, 0.0, -np.inf]), null).tolist() == [0.01, 1.0, 0.01]
+
 
 class TestBuildNull:
     def test_counts_and_shape(self, control_mats):
@@ -186,9 +193,10 @@ class TestBuildNull:
     def test_control_group_that_does_not_converge_fails_first(self, control_mats, monkeypatch):
         refits = failing_refits(monkeypatch, lambda pick: False)
         # an impossible tolerance makes the fit of the control group fail
-        cfg = FrechetConfig(max_iterations=1, gradient_tolerance=1e-18)
+        monkeypatch.setattr(group, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(group, "GRADIENT_TOLERANCE", 1e-18)
         with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
-            build_null(control_mats, m=10, seed=0, config=cfg)
+            build_null(control_mats, m=10, seed=0)
         assert refits == []
 
     def test_warm_started_refits_match_cold_ones(self, control_mats, monkeypatch):
@@ -219,11 +227,11 @@ def failing_refits(monkeypatch, fails):
     control group is left alone.  Returns the list of failed resamples."""
     failed = []
 
-    def fit(stack, config=None, parametrization="tangent", region_names=None, start=None):
+    def fit(stack, parametrization="tangent", region_names=None, start=None):
         if start is not None and fails(start[1]):
             failed.append(start[1])
             raise ConvergenceError("forced refit failure", 1.0)
-        return fit_stack(stack, config, parametrization, region_names, start)
+        return fit_stack(stack, parametrization, region_names, start)
 
     monkeypatch.setattr(inference, "fit_stack", fit)
     return failed

@@ -190,6 +190,14 @@ class TestModelIO:
         # a fit to identical subjects writes sigma 0
         assert sio.read_model(write_model_doc(tmp_path, sigma=0.0)).sigma == 0.0
 
+    @pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"), ("[1]", "list")])
+    def test_rejects_a_document_that_is_not_an_object(self, tmp_path, text, kind):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as err:
+            sio.read_model(path)
+        assert str(err.value) == f"{path}: expected a JSON object, got {kind}"
+
 
 class TestCliFit:
     def test_identical_inputs_report_zero_dispersion(self, tmp_path, rng, capsys):
@@ -458,6 +466,7 @@ class TestCliSimulate:
         ("d_sigma", ["a"], "d_sigma must be a finite number, got 'a'"),
         ("d_sigma", [0.5, None], "d_sigma must be a finite number, got None"),
         ("d_sigma", "0.5", "d_sigma must be a finite number, got '0.5'"),
+        ("d_sigma", None, "d_sigma must be a finite number, got None"),
     ])
     def test_non_numeric_config_amplitude_fails(self, tmp_path, capsys, key, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -467,12 +476,63 @@ class TestCliSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not valid JSON: "),
+        ("5", "expected a JSON object, got int"),
+        ("null", "expected a JSON object, got NoneType"),
+        (
+            json.dumps({"n": 3, "n_controls": 8, "k_diffs": 1,
+                        "sigma_star": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]}),
+            "sigma_star: could not convert string to float: 'a'",
+        ),
+    ], ids=["malformed-json", "number", "null", "non-numeric-sigma-star"])
+    def test_malformed_config_fails_naming_the_file(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: {message}")
+        assert not out.exists()
+
+    def test_empty_d_sigma_grid_fails_before_any_experiment(self, tmp_path, monkeypatch, capsys):
+        experiments = []
+        monkeypatch.setattr(cli, "roc_experiment", experiments.append)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "k_diffs": 3, "m": 5, "d_sigma": []}))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: d_sigma grid is empty; give at least one value\n"
+        assert experiments == []
+        assert not out.exists()
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "bogus": 1}))
         code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
         assert code != 0
         assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "test", "likelihood", "likelihood-model", "simulate"])
+def test_input_that_is_not_utf8_fails_naming_the_file(demo, tmp_path, capsys, command):
+    controls, out = demo["controls"], str(tmp_path / "out")
+    bad = tmp_path / ("bad.json" if command in ("likelihood-model", "simulate") else "bad.csv")
+    if bad.suffix == ".csv":
+        bad.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff\n")
+    else:
+        bad.write_bytes(b'{"n": 6, "region_names": ["\xff"]}')
+    argv = {
+        "fit": ["fit", "--controls", *controls, str(bad), "--out", out],
+        "test": ["test", "--controls", *controls, "--patient", str(bad), "--m", "5", "--out", out],
+        "likelihood": ["likelihood", "--loo", "--controls", *controls, str(bad)],
+        "likelihood-model": ["likelihood", "--model", str(bad), demo["patient"]],
+        "simulate": ["simulate", "--config", str(bad), "--out", out],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid UTF-8: ")
+    assert not os.path.exists(out)
 
 
 SPDCONN_ERRORS = [

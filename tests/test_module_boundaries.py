@@ -164,7 +164,7 @@ def test_traced_names_are_public_functions():
 # Every public name, sorted; adding or removing one shows up here in review.
 PUBLIC_API = [
     "ConfigurationError", "ConvergenceError", "DegenerateInputError",
-    "DegenerateModelError", "FLAT", "FrechetConfig", "GroupModel",
+    "DegenerateModelError", "FLAT", "GroupModel",
     "InvalidInputError", "NearSingularError", "NullDistribution",
     "NumericRangeError", "PairTest", "RocCurve", "SPD_EIG_FLOOR", "SimConfig",
     "TANGENT", "TestReport", "TimeSeries", "auc", "build_null", "clip_spd",
