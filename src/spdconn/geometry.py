@@ -36,8 +36,8 @@ def _check_finite(m):
 
 
 def _check_square(m):
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise InvalidInputError(f"matrix must be square and non-empty, got shape {m.shape}")
 
 
 def validate_spd(m) -> np.ndarray:
@@ -46,7 +46,7 @@ def validate_spd(m) -> np.ndarray:
     Raises
     ------
     InvalidInputError
-        If entries are non-finite or the matrix is not square.
+        If entries are non-finite or the matrix is not square or is 0 x 0.
     NearSingularError
         If the smallest eigenvalue is at most ``SPD_EIG_FLOOR`` times the largest.
     """

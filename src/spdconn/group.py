@@ -52,25 +52,12 @@ def check_parametrization(parametrization: str):
         )
 
 
-def _distinct(mats: np.ndarray):
-    """The distinct matrices of a stack (equal bytes) and the index that
-    gathers them back into its rows.  Without repeats these are ``mats``
-    itself and a full slice, so such a stack is neither copied nor gathered;
-    the byte keys are freed on return."""
-    index = {}
-    first = np.array([index.setdefault(m.tobytes(), s) for s, m in enumerate(mats)])
-    if len(index) == len(mats):
-        return mats, slice(None)
-    rows = np.flatnonzero(first == np.arange(len(mats)))
-    return mats[rows], np.searchsorted(rows, first)
-
-
 # Conjugate gradients stop once the residual of the Newton equation falls
 # below this fraction of the gradient.  Measured on bootstrap resamples at
 # n=33, S=20, sigma=0.1: at 1e-2 or 1e-3 every fit takes 3 Fréchet
 # iterations, from 1e-4 on it takes 2.  At 1e-6 a step takes 4 CG
-# iterations of a few matrix products per distinct member, which is cheap
-# next to the one eigendecomposition per member of a Fréchet iteration.
+# iterations of a few matrix products per member, which is cheap next to
+# the one eigendecomposition per member of a Fréchet iteration.
 _CG_TOLERANCE = 1e-6
 # |t| of the log weights stays below 1 where an eigenvalue ratio beyond
 # 2**53 would round it up to 1.
@@ -88,9 +75,9 @@ def _log_weights(eigvals: np.ndarray) -> np.ndarray:
 
 def _log_derivative(x, eigvecs, weights, inverse) -> np.ndarray:
     """``H[x] = mean_s v_s (K_s * (v_s.T x v_s)) v_s.T`` over the rows of a
-    stack: each distinct member ``W = v diag(e) v.T`` (eigenvectors
-    ``eigvecs``, weights ``K`` of :func:`_log_weights`) is computed once and
-    gathered back into its rows by ``inverse``.
+    stack: the term of each decomposed member ``W = v diag(e) v.T``
+    (eigenvectors ``eigvecs``, weights ``K`` of :func:`_log_weights`) is
+    computed once and gathered back into its rows by ``inverse``.
 
     ``-H`` is the derivative at ``x = 0`` of
     ``x -> mean_s log(e^(-x/2) W_s e^(-x/2))``: in the eigenbasis of ``W``
@@ -124,19 +111,16 @@ def _newton_step(gradient, eigvecs, weights, inverse) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """The exit iteration of an intrinsic-mean fit, kept to warm-start the
-    fits of resamples of the fitted stack (:func:`fit_stack`'s ``start``).
-
-    Row ``s`` of the fitted stack is ``distinct[members[s]]``.
-    ``eigvals``, ``eigvecs`` and ``logs`` decompose each distinct matrix
-    whitened by ``inv_root``, the inverse of ``root = mean^1/2``.
-    """
+    """One iteration of an intrinsic-mean fit: ``eigvals``, ``eigvecs`` and
+    ``logs`` decompose each row of ``mats`` whitened by ``inv_root``, the
+    inverse of ``root = mean^1/2``.  A fit's exit frame, whose ``mats`` is
+    the fitted stack itself, warm-starts the fits of resamples of that
+    stack (:func:`fit_stack`'s ``start``)."""
 
     mean: np.ndarray
     root: np.ndarray
     inv_root: np.ndarray
-    distinct: np.ndarray
-    members: np.ndarray
+    mats: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
     logs: np.ndarray
@@ -147,30 +131,15 @@ def _frechet(mats: np.ndarray, start=None):
     square root, the iteration count, the gradient norm at exit and the
     :class:`TangentFrame` of the exit iteration.
 
-    Each distinct matrix of ``mats`` is decomposed once per iteration; its
-    log, and its term of the Newton operator, are gathered back into every
-    row that repeats it, so the means sum the same rows in the same order
-    as without the saving.
-
-    ``start = (frame, rows)`` starts at ``frame.mean`` when ``mats`` is
-    ``stack[rows]`` and ``frame`` the exit frame of a fit of ``stack``.
-    The first iteration then gathers the gradient and the Newton operator
-    of the rows from the frame and decomposes nothing; the later ones are
-    unchanged.
+    Each Newton step builds the frame at the new mean; a fit starts at the
+    frame of the arithmetic mean of ``mats``.  ``start = (frame, rows)``
+    starts at ``frame`` restricted to the rows present in ``rows`` when
+    ``mats`` is ``stack[rows]`` and ``frame`` the exit frame of a fit of
+    ``stack``, so the first iteration decomposes nothing and every frame
+    covers the present rows only.  Their logs and Newton terms are gathered
+    back into every row of ``mats`` that repeats them.
     """
     gradient_norm = np.inf
-    if start is None:
-        mean = symmetrize(mats.mean(axis=0))
-        distinct, inverse = _distinct(mats)
-    else:
-        frame, rows = start
-        members = frame.members[rows]
-        counts = np.bincount(members, minlength=len(frame.distinct))
-        present = np.flatnonzero(counts)
-        inverse = (np.cumsum(counts > 0) - 1)[members]
-        mean, root, inv_root = frame.mean, frame.root, frame.inv_root
-        distinct = frame.distinct[present]
-        eigvals, eigvecs, logs = frame.eigvals[present], frame.eigvecs[present], frame.logs[present]
 
     def sqrt_in_cone(eigvals):
         if eigvals.min() <= 0:
@@ -179,18 +148,28 @@ def _frechet(mats: np.ndarray, start=None):
             )
         return np.sqrt(eigvals)
 
+    def frame_at(mean, stack):
+        root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
+        decomposed = eig_decompose(whiten(inv_root, stack), np.log)
+        return TangentFrame(mean, root, inv_root, stack, *decomposed)
+
+    if start is None:
+        frame, inverse = frame_at(symmetrize(mats.mean(axis=0)), mats), slice(None)
+    else:
+        full, rows = start
+        counts = np.bincount(rows, minlength=len(full.mats))
+        present = np.flatnonzero(counts)
+        inverse = (np.cumsum(counts > 0) - 1)[rows]
+        restricted = (a[present] for a in (full.mats, full.eigvals, full.eigvecs, full.logs))
+        frame = TangentFrame(full.mean, full.root, full.inv_root, *restricted)
+
     for iteration in range(MAX_ITERATIONS):
-        if iteration or start is None:
-            root, inv_root = eig_apply(mean, sqrt_in_cone, lambda e: 1.0 / np.sqrt(e))
-            eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, distinct), np.log)
-        gradient = logs[inverse].mean(axis=0)
+        gradient = frame.logs[inverse].mean(axis=0)
         gradient_norm = float(np.linalg.norm(gradient))
         if gradient_norm <= GRADIENT_TOLERANCE:
-            members = np.arange(len(mats))[inverse]
-            frame = TangentFrame(mean, root, inv_root, distinct, members, eigvals, eigvecs, logs)
-            return mean, inv_root, iteration, gradient_norm, frame
-        step = _newton_step(gradient, eigvecs, _log_weights(eigvals), inverse)
-        mean = symmetrize(root @ spd_expm(step) @ root)
+            return frame.mean, frame.inv_root, iteration, gradient_norm, frame
+        step = _newton_step(gradient, frame.eigvecs, _log_weights(frame.eigvals), inverse)
+        frame = frame_at(symmetrize(frame.root @ spd_expm(step) @ frame.root), frame.mats)
     raise ConvergenceError(
         f"intrinsic mean did not converge in {MAX_ITERATIONS} iterations "
         f"(gradient norm {gradient_norm:.3e})",
@@ -219,10 +198,9 @@ def frechet_mean(mats) -> np.ndarray:
     step is never longer than the unit step ``X = G`` of the plain
     fixed-point iteration.  It converges quadratically: 2-3 iterations for
     populations clustered around a common center, 3-4 for widely spread
-    ones (condition number 1e6).  A matrix repeated in ``mats`` (as in a
-    bootstrap resample) is decomposed once per iteration, with the same
-    result as decomposing every copy.  The iteration count and the
-    gradient norm at exit are kept on the model of :func:`fit_from_matrices`.
+    ones (condition number 1e6).  Each row of ``mats`` is decomposed once
+    per iteration.  The iteration count and the gradient norm at exit are
+    kept on the model of :func:`fit_from_matrices`.
 
     Parameters
     ----------
@@ -264,7 +242,8 @@ class GroupModel:
     on the (tangent or flat) residual space.  ``residuals`` holds the
     residual coordinates of the fitted subjects, one row each.  ``frame``
     is the exit iteration of the tangent fit that made the model, when
-    :func:`fit_stack` made it.
+    :func:`fit_stack` made it without a warm start; its ``mats`` are the
+    fitted subjects.
     """
 
     mean: np.ndarray
@@ -307,7 +286,8 @@ def fit_stack(
     ``stack = full[rows]`` of a fitted stack ``full`` can start from that
     model's frame, ``start = (model.frame, rows)``: it converges to the same
     mean, to within the gradient tolerance, with one decomposition of the
-    mean and of each distinct subject fewer.
+    mean and of each subject present in ``rows`` fewer.  Its own exit frame
+    would cover only the present subjects, so it keeps none.
     """
     check_parametrization(parametrization)
     if stack.shape[0] < 2:
@@ -329,7 +309,7 @@ def fit_stack(
         region_names=region_names,
         frechet_iterations=iterations,
         gradient_norm=gradient_norm,
-        frame=frame,
+        frame=frame if start is None else None,
     )
     model.__dict__["inv_root"] = inv_root  # fills the cached property
     return model

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import as_correlation_matrices
-from .exceptions import ConvergenceError, InvalidInputError, NearSingularError, check_integer
+from .exceptions import (
+    ConvergenceError,
+    InvalidInputError,
+    NearSingularError,
+    check_finite,
+    check_integer,
+)
 from .group import (
     FLAT,
     TANGENT,
@@ -66,10 +72,10 @@ def empirical_pvalue(t, null_values):
     ``(0, 1]`` and monotone non-increasing in ``|t|``.  ``null_values`` is
     ``(m,)`` or ``(m, P)`` with finite values, one column per coordinate
     of ``t``; ``t`` broadcasts against a row of it, so it may be ``(P,)``
-    or ``(k, P)``.  A NaN in ``t`` raises ``InvalidInputError``; an
-    infinite ``t`` gets the smallest p-value.  The exceedances are counted
-    by binary search in the sorted ``|null|``, whose one copy is the only
-    ``(m, P)`` temporary.
+    or ``(k, P)``.  A non-finite null value or a NaN in ``t`` raises
+    ``InvalidInputError``; an infinite ``t`` gets the smallest p-value.
+    The exceedances are counted by binary search in the sorted ``|null|``,
+    whose one copy is the only ``(m, P)`` temporary.
     """
     null = np.abs(np.asarray(null_values, dtype=np.float64))
     if null.size == 0:
@@ -78,6 +84,8 @@ def empirical_pvalue(t, null_values):
     if np.isnan(t).any():
         raise InvalidInputError("statistic is NaN")
     null.sort(axis=0)
+    if not np.isfinite(null[-1]).all():  # NaN and inf sort last
+        raise InvalidInputError("null sample contains non-finite values")
     m = null.shape[0]
     if null.ndim == 1:
         below = np.searchsorted(null, t, side="left")
@@ -478,7 +486,9 @@ def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_alpha(alpha: float):
-    """Raise ``InvalidInputError`` unless ``0 < alpha <= 1``."""
+    """Raise ``InvalidInputError`` unless ``alpha`` is a real number, not a
+    bool, with ``0 < alpha <= 1``."""
+    check_finite("alpha", alpha)
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
 

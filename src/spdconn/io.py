@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .estimators import TimeSeries, as_region_names
-from .exceptions import InvalidInputError, NearSingularError
+from .exceptions import InvalidInputError, NearSingularError, check_integer
 from .geometry import validate_spd
 from .group import TANGENT, GroupModel
 from .inference import TestReport
@@ -147,11 +147,14 @@ def read_model(path) -> GroupModel:
             f"{path}: unsupported schema_version {doc.get('schema_version')!r}"
         )
     try:
-        n = int(doc["n"])
+        n, n_subjects = doc["n"], doc["n_subjects"]
+        check_integer("n", n, 1)
+        check_integer("n_subjects", n_subjects, 2)  # as fit_stack requires
         values = np.asarray(doc["sigma_star"], dtype=np.float64)
         sigma = float(doc["sigma"])
-        n_subjects = int(doc["n_subjects"])
         names = doc.get("region_names")
+        if names is not None and not isinstance(names, list):
+            raise InvalidInputError(f"region_names must be a list or null, got {names!r}")
         names = as_region_names(names, n) if names else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed model document: {exc}") from None

@@ -9,6 +9,7 @@ from spdconn import (
     NearSingularError,
     NumericRangeError,
     clip_spd,
+    frechet_mean,
     geodesic_distance,
     spd_expm,
     spd_logm,
@@ -234,6 +235,12 @@ class TestValidation:
         np.testing.assert_allclose(spd_logm(stack)[1], np.log(1e-12) * np.eye(3))
         with pytest.raises(NearSingularError):
             validate_spd(np.stack([np.eye(2), np.diag([1.0, 5e-11])]))
+
+    def test_validate_spd_rejects_a_0_by_0_matrix(self):
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            validate_spd(np.zeros((0, 0)))
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            frechet_mean([np.zeros((0, 0))] * 2)
 
 
 class TestClip:

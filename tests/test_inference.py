@@ -21,6 +21,7 @@ from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
     _DRAW_CHUNK, _FLAT_BLOCK, _resample_range, _resample_row, _row_values, _stream_words,
+    check_alpha,
 )
 from test_group import cold_frechet
 
@@ -111,6 +112,15 @@ class TestEmpiricalPvalue:
         with pytest.raises(InvalidInputError, match="statistic is NaN"):
             empirical_pvalue(np.nan, null[:, 0])
         assert empirical_pvalue(np.array([np.inf, 0.0, -np.inf]), null).tolist() == [0.01, 1.0, 0.01]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_null_raises(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            empirical_pvalue(5.0, [bad, 1.0, 2.0])
+        null = np.linspace(-3.0, 3.0, 30).reshape(10, 3)
+        null[4, 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            empirical_pvalue(np.zeros(3), null)
 
 
 class TestBuildNull:
@@ -489,3 +499,12 @@ class TestTestPatient:
         null = build_null(control_mats, m=5, seed=0)
         with pytest.raises(InvalidInputError):
             test_patient(control_mats[0], null, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", ["0.05", True, None, np.nan, np.inf])
+    def test_check_alpha_refuses_what_is_not_a_level(self, alpha):
+        with pytest.raises(InvalidInputError, match="alpha"):
+            check_alpha(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1, np.float64(0.01), np.float32(0.5)])
+    def test_check_alpha_accepts_a_level(self, alpha):
+        check_alpha(alpha)

@@ -170,10 +170,19 @@ class TestModelIO:
             ("region_names", ["a"]),
             ("region_names", ["a", "b", "c"]),
             ("region_names", ["a", "a"]),
+            ("region_names", "ab"),
+            ("region_names", {"a": 0, "b": 1}),
+            ("n", 2.9),
+            ("n", "2"),
+            ("n_subjects", 3.7),
+            ("n_subjects", -5),
+            ("n_subjects", 1),
         ],
         ids=[
             "nan-sigma", "inf-sigma", "minus-inf-sigma", "negative-sigma",
-            "too-few-names", "too-many-names", "repeated-names",
+            "too-few-names", "too-many-names", "repeated-names", "string-names",
+            "object-names", "fractional-n", "string-n", "fractional-subjects",
+            "negative-subjects", "one-subject",
         ],
     )
     def test_rejects_untrustworthy_fields(self, tmp_path, rng, field, value):
@@ -185,6 +194,19 @@ class TestModelIO:
         subject = tmp_path / "s.csv"
         write_series_csv(subject, TimeSeries(rng.standard_normal((30, 2)), ("a", "b")))
         assert main(["likelihood", "--model", str(path), str(subject)]) == 1
+
+    @pytest.mark.parametrize("n", [0, -1, True])
+    def test_cli_refuses_a_bad_region_count(self, tmp_path, rng, capsys, n):
+        from spdconn import TimeSeries
+
+        # sigma_star has n * n values, so only the count check refuses it
+        path = write_model_doc(tmp_path, n=n, sigma_star=[1.0] * n * n, region_names=None)
+        subject = tmp_path / "s.csv"
+        write_series_csv(subject, TimeSeries(rng.standard_normal((30, 2)), ("a", "b")))
+        assert main(["likelihood", "--model", str(path), str(subject)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed model document: n must be an integer >= 1, got {n}\n"
+        )
 
     def test_accepts_zero_sigma(self, tmp_path):
         # a fit to identical subjects writes sigma 0
