@@ -65,6 +65,12 @@ def t_statistic(controls, patient_value):
     return (patient_value - c.mean(axis=0)) / (sd * math.sqrt(1.0 + 1.0 / c.shape[0]))
 
 
+# Null columns per block of ``empirical_pvalue``: its one temporary that
+# grows with m is a sorted (8, m) block of |null|, not a copy of the null.
+# At m=10**4, P=528 and 20 rows, 4 and 8 timed fastest; 16-64 about 10% slower.
+_PVALUE_BLOCK = 8
+
+
 def empirical_pvalue(t, null_values):
     """Two-sided empirical p-value with add-one smoothing.
 
@@ -74,26 +80,30 @@ def empirical_pvalue(t, null_values):
     of ``t``; ``t`` broadcasts against a row of it, so it may be ``(P,)``
     or ``(k, P)``.  A non-finite null value or a NaN in ``t`` raises
     ``InvalidInputError``; an infinite ``t`` gets the smallest p-value.
-    The exceedances are counted by binary search in the sorted ``|null|``,
-    whose one copy is the only ``(m, P)`` temporary.
+    The exceedances are counted by binary search in each column's sorted
+    ``|null|``, taken ``_PVALUE_BLOCK`` columns at a time, so the only
+    temporary that grows with ``m`` is one ``(_PVALUE_BLOCK, m)`` block.
     """
-    null = np.abs(np.asarray(null_values, dtype=np.float64))
+    null = np.asarray(null_values, dtype=np.float64)
     if null.size == 0:
         raise InvalidInputError("empty null sample")
     t = np.abs(np.broadcast_to(t, np.broadcast_shapes(np.shape(t), null.shape[1:])))
     if np.isnan(t).any():
         raise InvalidInputError("statistic is NaN")
-    null.sort(axis=0)
-    if not np.isfinite(null[-1]).all():  # NaN and inf sort last
-        raise InvalidInputError("null sample contains non-finite values")
+    one_column = null.ndim == 1
+    if one_column:
+        null, t = null[:, None], t[..., None]
     m = null.shape[0]
-    if null.ndim == 1:
-        below = np.searchsorted(null, t, side="left")
-    else:
-        below = np.stack(
-            [np.searchsorted(col, t[..., p], side="left") for p, col in enumerate(null.T)],
-            axis=-1,
-        )
+    below = np.empty(t.shape, dtype=np.intp)
+    for b in range(0, null.shape[1], _PVALUE_BLOCK):
+        block = np.abs(null[:, b:b + _PVALUE_BLOCK].T, order="C")
+        block.sort(axis=-1)
+        if not np.isfinite(block[:, -1]).all():  # NaN and inf sort last
+            raise InvalidInputError("null sample contains non-finite values")
+        for p, col in enumerate(block, start=b):
+            below[..., p] = np.searchsorted(col, t[..., p], side="left")
+    if one_column:
+        below = below[..., 0]
     return (1.0 + (m - below)) / (m + 1.0)
 
 
@@ -129,7 +139,8 @@ class NullDistribution:
             raise InvalidInputError(
                 f"null values have shape {self.values.shape}, expected (m, {pair_count(self.n)})"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate NaN, and an inf is one of them: no (m, P) temporary
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise InvalidInputError("null distribution contains non-finite values")
 
 

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .estimators import TimeSeries, as_region_names
-from .exceptions import InvalidInputError, NearSingularError, check_integer
+from .exceptions import InvalidInputError, NearSingularError, check_finite, check_integer
 from .geometry import validate_spd
 from .group import TANGENT, GroupModel
 from .inference import TestReport
@@ -142,25 +142,29 @@ def read_model(path) -> GroupModel:
     """Load a model document; the stored matrix must pass the SPD check."""
     path = os.fspath(path)
     doc = read_json_object(path)
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise InvalidInputError(
-            f"{path}: unsupported schema_version {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != MODEL_SCHEMA_VERSION:
+        raise InvalidInputError(f"{path}: unsupported schema_version {version!r}")
     try:
-        n, n_subjects = doc["n"], doc["n_subjects"]
+        n, n_subjects, sigma = doc["n"], doc["n_subjects"], doc["sigma"]
         check_integer("n", n, 1)
         check_integer("n_subjects", n_subjects, 2)  # as fit_stack requires
-        values = np.asarray(doc["sigma_star"], dtype=np.float64)
-        sigma = float(doc["sigma"])
+        check_finite("sigma", sigma)
+        # JSON gives int or float for a number; a bool or string is refused
+        stored = np.asarray(doc["sigma_star"], dtype=object)
+        bad = [x for x in stored.flat if type(x) not in (int, float)]
+        if bad:
+            raise InvalidInputError(f"sigma_star must hold only numbers, got {bad[0]!r}")
+        values = stored.astype(np.float64)
         names = doc.get("region_names")
         if names is not None and not isinstance(names, list):
             raise InvalidInputError(f"region_names must be a list or null, got {names!r}")
         names = as_region_names(names, n) if names else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed model document: {exc}") from None
     # sigma == 0 is legitimate: a fit to identical subjects writes it
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise InvalidInputError(f"{path}: sigma must be finite and >= 0, got {sigma!r}")
+    if sigma < 0:
+        raise InvalidInputError(f"{path}: sigma must be >= 0, got {sigma!r}")
     if values.size != n * n:
         raise InvalidInputError(
             f"{path}: sigma_star has {values.size} values, expected {n * n}"
@@ -171,7 +175,7 @@ def read_model(path) -> GroupModel:
         raise InvalidInputError(f"{path}: {exc}") from None
     return GroupModel(
         mean=mean,
-        sigma=sigma,
+        sigma=float(sigma),
         n_subjects=n_subjects,
         parametrization=TANGENT,
         region_names=names,

@@ -20,8 +20,8 @@ from spdconn import (
 from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
-    _DRAW_CHUNK, _FLAT_BLOCK, _resample_range, _resample_row, _row_values, _stream_words,
-    check_alpha,
+    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _resample_range, _resample_row, _row_values,
+    _stream_words, check_alpha,
 )
 from test_group import cold_frechet
 
@@ -122,6 +122,33 @@ class TestEmpiricalPvalue:
         with pytest.raises(InvalidInputError, match="non-finite"):
             empirical_pvalue(np.zeros(3), null)
 
+    @pytest.mark.parametrize(
+        "P", [1, _PVALUE_BLOCK - 1, _PVALUE_BLOCK, _PVALUE_BLOCK + 1, 2 * _PVALUE_BLOCK + 3]
+    )
+    def test_column_blocks_match_the_dense_count(self, rng, P):
+        m = 40
+        null = np.round(rng.standard_normal((m, P)), 1)  # one decimal: many ties
+        t = np.stack([
+            null[3], -null[17], np.round(rng.standard_normal(P), 1),
+            np.full(P, np.inf), np.full(P, -np.inf),
+        ])
+        dense = (1.0 + (np.abs(null) >= np.abs(t[:, None, :])).sum(axis=1)) / (m + 1)
+        assert np.array_equal(empirical_pvalue(t, null), dense)
+        assert np.array_equal(empirical_pvalue(t[1], null), dense[1])
+        assert np.array_equal(dense[3:], np.full((2, P), 1 / (m + 1)))
+        # a 1-D null scores every coordinate of a (k, P) t against its one column
+        column = null[:, -1]
+        dense = (1.0 + (np.abs(column) >= np.abs(t[..., None])).sum(axis=-1)) / (m + 1)
+        assert np.array_equal(empirical_pvalue(t, column), dense)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_null_in_the_last_block_raises(self, bad):
+        P = 2 * _PVALUE_BLOCK + 3
+        null = np.linspace(-3.0, 3.0, 10 * P).reshape(10, P)
+        null[6, P - 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            empirical_pvalue(np.zeros(P), null)
+
 
 class TestBuildNull:
     def test_counts_and_shape(self, control_mats):
@@ -148,6 +175,14 @@ class TestBuildNull:
         null = build_null(control_mats, m=8, seed=2, parametrization="flat")
         assert null.parametrization == "flat"
         assert np.all(np.isfinite(null.values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_null_distribution_refuses_non_finite_values(self, control_mats, bad):
+        null = build_null(control_mats, m=6, seed=1, parametrization="flat")
+        values = null.values.copy()
+        values[5, -1] = bad
+        with pytest.raises(InvalidInputError, match="null distribution contains non-finite"):
+            replace(null, values=values)
 
     def test_needs_three_controls(self, control_mats):
         with pytest.raises(InvalidInputError):

@@ -208,6 +208,44 @@ class TestModelIO:
             f"error: {path}: malformed model document: n must be an integer >= 1, got {n}\n"
         )
 
+    @staticmethod
+    def assert_refused(tmp_path, rng, capsys, path):
+        from spdconn import TimeSeries
+
+        with pytest.raises(InvalidInputError, match="model.json"):
+            sio.read_model(path)
+        subject = tmp_path / "s.csv"
+        write_series_csv(subject, TimeSeries(rng.standard_normal((30, 2)), ("a", "b")))
+        assert main(["likelihood", "--model", str(path), str(subject)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_rejects_a_boolean_schema_version(self, tmp_path, rng, capsys):
+        # True == 1, so a plain comparison with the schema version lets it in
+        self.assert_refused(tmp_path, rng, capsys, write_model_doc(tmp_path, schema_version=True))
+
+    @pytest.mark.parametrize("sigma", [True, "0.1", 10**400], ids=["bool", "string", "huge-int"])
+    def test_rejects_a_sigma_that_is_not_a_number(self, tmp_path, rng, capsys, sigma):
+        self.assert_refused(tmp_path, rng, capsys, write_model_doc(tmp_path, sigma=sigma))
+
+    @pytest.mark.parametrize(
+        "sigma_star",
+        [
+            [True, False, False, True],
+            [True, 0, 0, 1],  # numpy would make this an integer array
+            ["1", "0", "0", "1"],
+            [1.0, None, None, 1.0],
+            [[1.0], [0.0, 1.0, 0.0]],
+        ],
+        ids=["bools", "bool-among-ints", "strings", "nulls", "ragged"],
+    )
+    def test_rejects_a_sigma_star_that_is_not_numbers(self, tmp_path, rng, capsys, sigma_star):
+        self.assert_refused(tmp_path, rng, capsys, write_model_doc(tmp_path, sigma_star=sigma_star))
+
+    def test_accepts_integer_entries_in_sigma_star(self, tmp_path):
+        model = sio.read_model(write_model_doc(tmp_path, sigma_star=[[2, 0], [0, 1]], sigma=1))
+        assert model.mean.dtype == np.float64 and model.mean.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+        assert model.sigma == 1.0 and type(model.sigma) is float
+
     def test_accepts_zero_sigma(self, tmp_path):
         # a fit to identical subjects writes sigma 0
         assert sio.read_model(write_model_doc(tmp_path, sigma=0.0)).sigma == 0.0
