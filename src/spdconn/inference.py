@@ -4,16 +4,16 @@ The null distribution of the per-pair statistic is built nonparametrically:
 each bootstrap iteration leaves one control out, refits the group model on a
 resampled surrogate population, projects everybody into the surrogate
 residual frame, and records the left-out subject's statistic for every
-region pair.  The flat refit is an arithmetic mean, so its statistic comes
-from the first two moments of the resampled controls' coordinates, computed
-for a block of iterations at a time; the tangent refit is a Fréchet fit per
-iteration, started from the mean of the whole control group, which is
-fitted first.  In both, row ``k`` of the null depends only on the seed and
-``k``: iteration ``k`` draws from the package's own stream of ``[seed, k]``,
-computed for a chunk of iterations at once by hashing the seeds, stepping
-PCG64 and bounding its outputs, all vectorized over ``k``.  That stream
-equals ``np.random.default_rng([seed, k])`` under numpy 2.4.6 (the tests
-check it), and a retried tangent fit continues it.
+region pair.  One loop fills the null a chunk of iterations at a time, in
+both parametrizations: the flat refit is an arithmetic mean, so its
+statistic comes from the first two moments of the resampled controls'
+coordinates; the tangent refit is a Fréchet fit per iteration, started
+from the mean of the whole control group, which is fitted first.  Row ``k``
+depends only on the seed and ``k``: iteration ``k`` draws from the
+package's own stream of ``[seed, k]``, computed for the chunk at once by
+hashing the seeds, stepping PCG64 and bounding its outputs, vectorized over
+``k``.  That stream equals ``np.random.default_rng([seed, k])`` under numpy
+2.4.6 (the tests check it), and a retried tangent fit continues it.
 Observed statistics for a test subject are then converted to empirical
 two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
@@ -115,6 +115,8 @@ class NullDistribution:
     null was built from; subjects are scored against it.  ``values[k, p]``
     is the statistic from bootstrap iteration ``k`` for the off-diagonal
     pair ``p`` in canonical (row-major lower-triangle) order.
+    ``n_failures`` counts the failed tangent surrogate fits that were
+    retried; it is always 0 for flat, whose surrogate fit cannot fail.
     """
 
     model: GroupModel
@@ -192,9 +194,9 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-# Iterations per ``_resample_range`` call of both nulls: its temporaries, a
-# few ``(chunk, S + 2)`` integer arrays, stay small whatever ``m`` is.  It
-# divides 2**32, so no chunk holds iterations on both sides of 2**32.
+# Iterations per ``_null_chunk``, drawn by one ``_resample_range`` call: its
+# temporaries, a few ``(chunk, S + 2)`` integer arrays, stay small whatever
+# ``m`` is.  It divides 2**32, so no chunk holds iterations on both sides of 2**32.
 _DRAW_CHUNK = 1024
 
 
@@ -346,45 +348,62 @@ def _sum_in_order(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _flat_null(resid: np.ndarray, m: int, seed: int) -> np.ndarray:
-    """Flat null rows from the controls' residual coordinates ``(S, P)``
-    around their arithmetic mean.
-
-    A flat surrogate's residuals are its drawn rows of ``resid`` minus
-    their mean ``mu``, so row ``k`` is
-    ``(resid[left] - mu) / (max(sd, SD_FLOOR) sqrt(1 + 1/S))`` with ``sd``
-    the standard deviation of the drawn rows: the ``t_statistic`` of the
-    refit in exact arithmetic.  The deviations are summed after ``mu``, as
-    ``std`` does, so a resample of one repeated control keeps its floored
-    ``sd``.  Sums add the drawn rows in draw order, elementwise, so a row
-    does not depend on the block it is computed in (a matrix product would
-    not promise that).  The draws come from ``_resample_range``, a chunk of
-    iterations at a time.
-    """
-    s_count, n_pairs = resid.shape
-    scale = math.sqrt(1.0 + 1.0 / s_count)
-    values = np.empty((m, n_pairs))
-    for chunk in range(0, m, _DRAW_CHUNK):
-        lefts, picks = _resample_range(seed, chunk, min(chunk + _DRAW_CHUNK, m), s_count)
-        for start in range(0, len(lefts), _FLAT_BLOCK):
-            left = lefts[start:start + _FLAT_BLOCK]
-            drawn = resid[picks[start:start + _FLAT_BLOCK].T]  # (S, block, P)
-            mu = _sum_in_order(drawn) / s_count
-            drawn -= mu
-            drawn *= drawn
-            sd = np.sqrt(_sum_in_order(drawn) / (s_count - 1))
-            values[chunk + start:chunk + start + len(left)] = (
-                (resid[left] - mu) / (np.maximum(sd, SD_FLOOR) * scale)
-            )
-    return values
-
-
 def _refit_row(model: GroupModel, mats, left: int, pick) -> np.ndarray:
     """A tangent null row: the left-out control's statistic against the
     fit of the resample ``mats[pick]``, started from ``model``'s frame."""
     refit = fit_stack(mats[pick], start=(model.frame, pick))
     n_pairs = pair_count(model.n)
     return t_statistic(refit.residuals[:, :n_pairs], refit.project(mats[left])[:n_pairs])
+
+
+def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: int) -> int:
+    """Write the null rows of iterations ``start <= k < start + len(out)``
+    into ``out``, a view of the null, from one ``_resample_range`` call;
+    returns the number of failed fits.
+
+    A flat surrogate's residuals are its drawn rows of the controls' ``resid``
+    minus their mean ``mu``, so row ``k`` is
+    ``(resid[left] - mu) / (max(sd, SD_FLOOR) sqrt(1 + 1/S))`` with ``sd``
+    the standard deviation of the drawn rows: the ``t_statistic`` of the
+    refit in exact arithmetic.  The deviations are summed after ``mu``, as
+    ``std`` does, so a resample of one repeated control keeps its floored
+    ``sd``.  Sums add the drawn rows in draw order, elementwise, so a row
+    does not depend on the block it is computed in (a matrix product would
+    not promise that).  A flat row cannot fail.  A tangent row is
+    ``_refit_row``'s; a failed fit is retried on the stream of ``k``, and
+    failing ``retry_cap`` times in a row raises, naming ``k``.
+    """
+    s_count, n_pairs = mats.shape[0], out.shape[1]
+    lefts, picks = _resample_range(seed, start, start + len(out), s_count)
+    if model.parametrization == FLAT:
+        resid = model.residuals[:, :n_pairs]
+        scale = math.sqrt(1.0 + 1.0 / s_count)
+        for b in range(0, len(out), _FLAT_BLOCK):
+            drawn = resid[picks[b:b + _FLAT_BLOCK].T]  # (S, block, P)
+            mu = _sum_in_order(drawn) / s_count
+            drawn -= mu
+            drawn *= drawn
+            sd = np.sqrt(_sum_in_order(drawn) / (s_count - 1))
+            out[b:b + _FLAT_BLOCK] = (
+                (resid[lefts[b:b + _FLAT_BLOCK]] - mu) / (np.maximum(sd, SD_FLOOR) * scale)
+            )
+        return 0
+    n_failures = 0
+    for row, (left, pick) in enumerate(zip(lefts, picks)):
+        for attempt in range(retry_cap):
+            if attempt:
+                left, pick = _resample_row(seed, start + row, s_count, attempt)
+            try:
+                out[row] = _refit_row(model, mats, left, pick)
+            except _FIT_FAILURES:
+                n_failures += 1
+                continue
+            break
+        else:
+            raise ConvergenceError(
+                f"bootstrap iteration {start + row} failed {retry_cap} times in a row"
+            )
+    return n_failures
 
 
 def build_null(
@@ -405,7 +424,8 @@ def build_null(
     A flat surrogate fit is an arithmetic mean, which cannot fail, so the
     flat null is computed from the moments of each resample without a fit
     per iteration; its rows equal the per-iteration refits' statistics up
-    to rounding.
+    to rounding.  One loop fills both nulls in place, ``_null_chunk`` by
+    ``_null_chunk``; the retry cap and the 10% abort count over the run.
 
     Parameters
     ----------
@@ -448,37 +468,17 @@ def build_null(
     if s_count < 3:
         raise InvalidInputError("need at least 3 controls to build a null")
 
-    n_pairs = pair_count(mats.shape[-1])
     model = fit_stack(mats, parametrization, region_names=names)
-    if parametrization == FLAT:
-        return NullDistribution(model, _flat_null(model.residuals[:, :n_pairs], m, seed), seed)
-
-    values = np.empty((m, n_pairs))
-    n_failures = 0
+    values = np.empty((m, pair_count(model.n)))
     # An iteration that keeps failing is abandoned once it alone would push
     # the total failure rate over the abort threshold.
     retry_cap = max(1, math.ceil(0.1 * m) + 1)
-    for it in range(m):
-        if it % _DRAW_CHUNK == 0:
-            lefts, picks = _resample_range(seed, it, min(it + _DRAW_CHUNK, m), s_count)
-        left, pick = lefts[it % _DRAW_CHUNK], picks[it % _DRAW_CHUNK]
-        for attempt in range(retry_cap):
-            if attempt:
-                left, pick = _resample_row(seed, it, s_count, attempt)
-            try:
-                values[it] = _refit_row(model, mats, left, pick)
-            except _FIT_FAILURES:
-                n_failures += 1
-                continue
-            break
-        else:
-            raise ConvergenceError(
-                f"bootstrap iteration {it} failed {retry_cap} times in a row"
-            )
+    n_failures = sum(
+        _null_chunk(model, mats, seed, s, values[s:s + _DRAW_CHUNK], retry_cap)
+        for s in range(0, m, _DRAW_CHUNK)
+    )
     if n_failures > 0.1 * m:
-        raise ConvergenceError(
-            f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)"
-        )
+        raise ConvergenceError(f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)")
     return NullDistribution(model, values, seed, n_failures)
 
 

@@ -143,7 +143,7 @@ def read_model(path) -> GroupModel:
     path = os.fspath(path)
     doc = read_json_object(path)
     version = doc.get("schema_version")
-    if isinstance(version, bool) or version != MODEL_SCHEMA_VERSION:
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # refuses True and 1.0
         raise InvalidInputError(f"{path}: unsupported schema_version {version!r}")
     try:
         n, n_subjects, sigma = doc["n"], doc["n_subjects"], doc["sigma"]
@@ -157,9 +157,10 @@ def read_model(path) -> GroupModel:
             raise InvalidInputError(f"sigma_star must hold only numbers, got {bad[0]!r}")
         values = stored.astype(np.float64)
         names = doc.get("region_names")
-        if names is not None and not isinstance(names, list):
-            raise InvalidInputError(f"region_names must be a list or null, got {names!r}")
-        names = as_region_names(names, n) if names else None
+        if names is not None:  # an empty list is a wrong count, not null
+            if type(names) is not list or any(type(x) is not str for x in names):
+                raise InvalidInputError(f"region_names must be a list of strings, got {names!r}")
+            names = as_region_names(names, n)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed model document: {exc}") from None
     # sigma == 0 is legitimate: a fit to identical subjects writes it

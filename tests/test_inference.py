@@ -20,8 +20,8 @@ from spdconn import (
 from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
-    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _resample_range, _resample_row, _row_values,
-    _stream_words, check_alpha,
+    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _refit_row, _resample_range, _resample_row,
+    _row_values, _stream_words, check_alpha,
 )
 from test_group import cold_frechet
 
@@ -30,6 +30,15 @@ from test_group import cold_frechet
 def control_mats():
     cfg = SimConfig(n=8, n_controls=12, sigma=0.08, seed=11, k_diffs=4)
     mats, _ = sample_population(cfg)
+    return mats
+
+
+@pytest.fixture(scope="module")
+def two_chunk_mats():
+    """A small tangent population whose null of ``_DRAW_CHUNK + 10`` rows
+    spans two draw chunks in about a second; with eight controls, distinct
+    iterations draw distinct resamples."""
+    mats, _ = sample_population(SimConfig(n=4, n_controls=8, sigma=0.1, seed=3, k_diffs=2))
     return mats
 
 
@@ -235,6 +244,41 @@ class TestBuildNull:
         # a retried iteration takes the next draw of its own generator
         assert not np.any(np.all(null.values[failed] == clean.values[failed], axis=1))
 
+    def test_retries_across_a_chunk_boundary(self, two_chunk_mats, monkeypatch):
+        m, seed, s_count = _DRAW_CHUNK + 10, 5, len(two_chunk_mats)
+        clean = build_null(two_chunk_mats, m=m, seed=seed)
+        failed = [_DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 3]
+        refits = failing_refits(monkeypatch, first_draws(s_count, seed, failed))
+        null = build_null(two_chunk_mats, m=m, seed=seed)
+        assert null.n_failures == len(refits) == len(failed)
+        kept = np.setdiff1d(np.arange(m), failed)
+        assert np.array_equal(null.values[kept], clean.values[kept])
+        # a retried row is the refit of the second resample of its global k
+        for k in failed:
+            left, pick = _resample_row(seed, k, s_count, 1)
+            refit = _refit_row(clean.model, two_chunk_mats, left, pick)
+            assert np.array_equal(null.values[k], refit)
+
+    def test_abort_names_the_global_iteration(self, two_chunk_mats, monkeypatch):
+        m, seed, k = _DRAW_CHUNK + 10, 5, _DRAW_CHUNK + 5
+        retry_cap = 105  # ceil(0.1 m) + 1
+        refits = failing_refits(
+            monkeypatch, first_draws(len(two_chunk_mats), seed, [k], attempts=retry_cap)
+        )
+        with pytest.raises(ConvergenceError, match=f"iteration {k} failed 105 times in a row"):
+            build_null(two_chunk_mats, m=m, seed=seed)
+        assert len(refits) == retry_cap
+
+    def test_abort_counts_failures_over_chunks(self, two_chunk_mats, monkeypatch):
+        # 52 failures on each side of the chunk boundary: neither chunk alone
+        # passes 10% of m, together they do
+        m, seed = _DRAW_CHUNK + 10, 5
+        either_side = [_DRAW_CHUNK - 1, _DRAW_CHUNK + 1]
+        fails = first_draws(len(two_chunk_mats), seed, either_side, attempts=52)
+        failing_refits(monkeypatch, fails)
+        with pytest.raises(ConvergenceError, match=rf"104 failed fits over {m} .* \(> 10%\)"):
+            build_null(two_chunk_mats, m=m, seed=seed)
+
     def test_control_group_that_does_not_converge_fails_first(self, control_mats, monkeypatch):
         refits = failing_refits(monkeypatch, lambda pick: False)
         # an impossible tolerance makes the fit of the control group fail
@@ -282,10 +326,12 @@ def failing_refits(monkeypatch, fails):
     return failed
 
 
-def first_draws(s_count, seed, iterations):
-    """A ``fails`` predicate for :func:`failing_refits`: true once for the
-    first resample of each listed bootstrap iteration."""
-    pending = {_resample_row(seed, k, s_count, 0)[1].tobytes() for k in iterations}
+def first_draws(s_count, seed, iterations, attempts=1):
+    """A ``fails`` predicate for :func:`failing_refits`: true once for each
+    of the first ``attempts`` resamples of each listed bootstrap iteration."""
+    pending = {
+        _resample_row(seed, k, s_count, a)[1].tobytes() for k in iterations for a in range(attempts)
+    }
 
     def fails(pick):
         if pick.tobytes() in pending:

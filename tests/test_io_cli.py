@@ -172,6 +172,11 @@ class TestModelIO:
             ("region_names", ["a", "a"]),
             ("region_names", "ab"),
             ("region_names", {"a": 0, "b": 1}),
+            ("region_names", [True, None]),
+            ("region_names", [1, 2]),
+            ("region_names", [["a"], "b"]),
+            ("region_names", []),
+            ("schema_version", 1.0),
             ("n", 2.9),
             ("n", "2"),
             ("n_subjects", 3.7),
@@ -181,7 +186,9 @@ class TestModelIO:
         ids=[
             "nan-sigma", "inf-sigma", "minus-inf-sigma", "negative-sigma",
             "too-few-names", "too-many-names", "repeated-names", "string-names",
-            "object-names", "fractional-n", "string-n", "fractional-subjects",
+            "object-names", "bool-and-null-names", "number-names", "nested-names",
+            "empty-names", "float-schema-version", "fractional-n", "string-n",
+            "fractional-subjects",
             "negative-subjects", "one-subject",
         ],
     )

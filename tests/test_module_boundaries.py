@@ -1,8 +1,8 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
-generator of ``numpy.random``, every function the
-benchmark's tracer relies on stays a public function, and the public API is
-the listed one."""
+generator of ``numpy.random`` and draws bootstrap chunks in one place, every
+function the benchmark's tracer relies on stays a public function, and the
+public API is the listed one."""
 
 import ast
 import importlib.util
@@ -143,6 +143,29 @@ def test_inference_draws_without_numpy_random():
     # the bootstrap's stream is the package's own: inference.py computes
     # every draw and never runs one of numpy's generators
     assert numpy_random_uses((PACKAGE / "inference.py").read_text()) == []
+
+
+def call_sites(source: str, name: str) -> list[int]:
+    """Line numbers of the calls of the bare name ``name`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name]
+
+
+def test_guard_finds_call_sites():
+    source = (
+        "def f(seed):\n"
+        "    a = _resample_range(seed, 0, 8, 3)\n"
+        "    return [_resample_range(seed, s, s + 8, 3) for s in (8, 16)], _resample_range\n"
+        "m._resample_range(0, 0, 1, 3)\n"
+    )
+    assert call_sites(source, "_resample_range") == [2, 3]
+
+
+def test_one_draw_loop_in_inference():
+    # both nulls draw their chunks in _null_chunk; a second caller of
+    # _resample_range would fork the chunk rule again
+    assert len(call_sites((PACKAGE / "inference.py").read_text(), "_resample_range")) == 1
 
 
 def test_traced_names_are_public_functions():
