@@ -9,7 +9,7 @@ Example:
     python scripts/make_demo_data.py --out demo/
     spdconn fit --controls demo/control_*.csv --out demo/model.json
     spdconn test --controls demo/control_*.csv --patient demo/patient_00.csv \\
-        --m 500 --seed 1 --out demo/report.csv
+        --m 2100 --seed 1 --out demo/report.csv
 """
 
 import argparse

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import io as sio
-from .estimators import correlation_matrix, residualize_confounds
+from .estimators import as_correlation_matrices, correlation_matrix, residualize_confounds
 from .exceptions import (
     ConfigurationError,
     InvalidInputError,
@@ -19,6 +20,7 @@ from .exceptions import (
     check_finite,
     check_integer,
 )
+from .geometry import pair_count
 from .group import (
     FLAT,
     TANGENT,
@@ -27,7 +29,7 @@ from .group import (
     leave_one_out_scores,
     log_likelihood,
 )
-from .inference import build_null, check_alpha, test_patient
+from .inference import bonferroni_floor, check_alpha, score_subjects
 from .simulate import SimConfig, cell_seed, roc_experiment
 
 _ERRORS = (SpdconnError, OSError)
@@ -58,6 +60,24 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _warn_if_bonferroni_cannot_reject(n_pairs: int, m: int, alpha: float):
+    """Say on stderr when no pair can be significant after Bonferroni
+    correction at this ``m``, naming the smallest ``m`` that can be."""
+    floor = bonferroni_floor(n_pairs, m)
+    if floor < alpha:  # a report's own test, p_corrected < alpha
+        return
+    # m + 1 > P / alpha, found with the same floating-point test
+    reach = max(1, math.floor(n_pairs / alpha) - 2)
+    while bonferroni_floor(n_pairs, reach) >= alpha:
+        reach += 1
+    print(
+        f"warning: no pair can be significant: the smallest Bonferroni-corrected "
+        f"p-value over {n_pairs} pairs with --m {m} is {floor:.6g}, not below "
+        f"alpha {alpha}; use --m {reach} or more",
+        file=sys.stderr,
+    )
+
+
 def cmd_test(args) -> int:
     check_alpha(args.alpha)
     check_integer("--m", args.m, 1)
@@ -66,11 +86,13 @@ def cmd_test(args) -> int:
     patient = sio.read_time_series(args.patient)
     # refuse a mis-paired patient before the bootstrap, not after it
     check_region_names(patient.region_names, controls[0].region_names)
-    null = build_null(
-        controls, args.m, args.seed, parametrization=args.parametrization
+    patient_mats, _ = as_correlation_matrices([patient])
+    _warn_if_bonferroni_cannot_reject(pair_count(controls[0].n), args.m, args.alpha)
+    scores = score_subjects(
+        controls, patient_mats, args.m, args.seed, parametrization=args.parametrization
     )
     subject_id = os.path.splitext(os.path.basename(args.patient))[0]
-    report = test_patient(patient, null, alpha=args.alpha, subject_id=subject_id)
+    report = scores.report(0, args.alpha, subject_id=subject_id)
     sio.write_report(args.out, report, m=args.m, seed=args.seed)
     print(f"pairs_tested: {len(report.pairs)}")
     print(f"significant_corrected: {report.n_significant(corrected=True)}")

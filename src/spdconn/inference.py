@@ -17,10 +17,17 @@ hashing the seeds, stepping PCG64 and bounding its outputs, vectorized over
 Observed statistics for a test subject are then converted to empirical
 two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
+
+Who holds the null decides the memory.  ``build_null`` stores all ``m``
+rows, ``O(m P)``, for callers that need the values themselves.
+``score_subjects`` knows its ``k`` subjects before the bootstrap, so it
+counts each chunk's exceedances and reuses one chunk buffer: ``O(k P +
+chunk P)`` whatever ``m`` is, with p-values equal to scoring the stored null.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,10 +72,41 @@ def t_statistic(controls, patient_value):
     return (patient_value - c.mean(axis=0)) / (sd * math.sqrt(1.0 + 1.0 / c.shape[0]))
 
 
-# Null columns per block of ``empirical_pvalue``: its one temporary that
-# grows with m is a sorted (8, m) block of |null|, not a copy of the null.
+# Null columns per block of ``_count_below``: its one temporary that grows
+# with the rows counted is a sorted (8, rows) block of |null|, not a copy.
 # At m=10**4, P=528 and 20 rows, 4 and 8 timed fastest; 16-64 about 10% slower.
 _PVALUE_BLOCK = 8
+
+
+def _abs_statistic(t, shape):
+    """``|t|`` broadcast to ``shape``; a NaN raises ``InvalidInputError``."""
+    t = np.abs(np.broadcast_to(t, shape))
+    if np.isnan(t).any():
+        raise InvalidInputError("statistic is NaN")
+    return t
+
+
+def _count_below(abs_t, null, below):
+    """Add to ``below[..., p]`` how many ``|null[:, p]|`` lie below
+    ``abs_t[..., p]``, for a ``(rows, P)`` null: a stored null or one chunk.
+
+    Each column's ``|null|`` is sorted, ``_PVALUE_BLOCK`` columns at a
+    time, and searched, so the only temporary that grows with ``rows`` is
+    one ``(_PVALUE_BLOCK, rows)`` block.  A non-finite null value raises
+    ``InvalidInputError``.
+    """
+    for b in range(0, null.shape[1], _PVALUE_BLOCK):
+        block = np.abs(null[:, b:b + _PVALUE_BLOCK].T, order="C")
+        block.sort(axis=-1)
+        if not np.isfinite(block[:, -1]).all():  # NaN and inf sort last
+            raise InvalidInputError("null sample contains non-finite values")
+        for p, col in enumerate(block, start=b):
+            below[..., p] += np.searchsorted(col, abs_t[..., p], side="left")
+
+
+def _add_one(below, m: int):
+    """Add-one p-values of ``m - below`` exceedances among ``m`` null values."""
+    return (1.0 + (m - below)) / (m + 1.0)
 
 
 def empirical_pvalue(t, null_values):
@@ -80,31 +118,24 @@ def empirical_pvalue(t, null_values):
     of ``t``; ``t`` broadcasts against a row of it, so it may be ``(P,)``
     or ``(k, P)``.  A non-finite null value or a NaN in ``t`` raises
     ``InvalidInputError``; an infinite ``t`` gets the smallest p-value.
-    The exceedances are counted by binary search in each column's sorted
-    ``|null|``, taken ``_PVALUE_BLOCK`` columns at a time, so the only
-    temporary that grows with ``m`` is one ``(_PVALUE_BLOCK, m)`` block.
+    The caller holds the null.  The exceedances are counted by binary
+    search in each column's sorted ``|null|``, taken ``_PVALUE_BLOCK``
+    columns at a time, so the only temporary that grows with ``m`` is one
+    ``(_PVALUE_BLOCK, m)`` block.  ``score_subjects`` counts with the same
+    kernel over each chunk of a null it never stores.
     """
     null = np.asarray(null_values, dtype=np.float64)
     if null.size == 0:
         raise InvalidInputError("empty null sample")
-    t = np.abs(np.broadcast_to(t, np.broadcast_shapes(np.shape(t), null.shape[1:])))
-    if np.isnan(t).any():
-        raise InvalidInputError("statistic is NaN")
+    t = _abs_statistic(t, np.broadcast_shapes(np.shape(t), null.shape[1:]))
     one_column = null.ndim == 1
     if one_column:
         null, t = null[:, None], t[..., None]
-    m = null.shape[0]
-    below = np.empty(t.shape, dtype=np.intp)
-    for b in range(0, null.shape[1], _PVALUE_BLOCK):
-        block = np.abs(null[:, b:b + _PVALUE_BLOCK].T, order="C")
-        block.sort(axis=-1)
-        if not np.isfinite(block[:, -1]).all():  # NaN and inf sort last
-            raise InvalidInputError("null sample contains non-finite values")
-        for p, col in enumerate(block, start=b):
-            below[..., p] = np.searchsorted(col, t[..., p], side="left")
+    below = np.zeros(t.shape, dtype=np.intp)
+    _count_below(t, null, below)
     if one_column:
         below = below[..., 0]
-    return (1.0 + (m - below)) / (m + 1.0)
+    return _add_one(below, null.shape[0])
 
 
 @dataclass(frozen=True)
@@ -176,6 +207,50 @@ class TestReport:
         if corrected:
             return len(self.significant_pairs)
         return sum(p.p_raw < self.alpha for p in self.pairs)
+
+
+@dataclass(frozen=True)
+class SubjectScores:
+    """Per-pair statistics and raw p-values of ``k`` subjects against the
+    bootstrap null of a control group.
+
+    ``model`` is the group model of the complete control group, ``t`` and
+    ``p`` are ``(k, n (n - 1) / 2)`` in canonical pair order, and
+    ``n_failures`` counts the retried tangent surrogate fits, as on
+    `NullDistribution`.
+    """
+
+    model: GroupModel
+    t: np.ndarray
+    p: np.ndarray
+    n_failures: int
+
+    def report(self, row: int = 0, alpha: float = 0.05, *, subject_id: str = "patient") -> TestReport:
+        """The pair tests of subject ``row``, its raw p-values
+        Bonferroni-corrected over the pairs."""
+        check_alpha(alpha)
+        model = self.model
+        t_row, p_raw = self.t[row], self.p[row]
+        p_corr = _bonferroni(p_raw, pair_count(model.n))
+        ii, jj = tril_pairs(model.n)
+        pairs = tuple(
+            PairTest(
+                i=int(ii[k]),
+                j=int(jj[k]),
+                t=float(t_row[k]),
+                p_raw=float(p_raw[k]),
+                p_corrected=float(p_corr[k]),
+                direction=int(np.sign(t_row[k])),
+            )
+            for k in range(len(t_row))
+        )
+        return TestReport(
+            subject_id=subject_id,
+            alpha=alpha,
+            pairs=pairs,
+            region_names=model.region_names,
+            parametrization=model.parametrization,
+        )
 
 
 _FIT_FAILURES = (ConvergenceError, NearSingularError, np.linalg.LinAlgError)
@@ -318,26 +393,34 @@ def _row_values(seed: int, k: int, count: int):
         done, count = count, 2 * count
 
 
-def _resample_row(seed: int, k: int, s_count: int, attempt: int):
-    """Resample ``attempt`` of iteration ``k``, the ``(attempt + 1)``-th on
-    the stream of ``k``: the left-out control, below ``S``, then ``S``
-    picks below ``S - 1`` shifted past it, as ``rng.integers(S)`` and
-    ``rng.choice(rest, size=S)`` draw them.  A draw below ``bound`` is the
-    high word of ``value * bound`` (Lemire's method); a value whose low
-    word falls below ``2**32 % bound`` is rejected for the next one."""
+def _resamples(seed: int, k: int, s_count: int):
+    """The resamples of iteration ``k`` in stream order, attempt 0 first:
+    the left-out control, below ``S``, then ``S`` picks below ``S - 1``
+    shifted past it, as ``rng.integers(S)`` and ``rng.choice(rest, size=S)``
+    draw them.  A draw below ``bound`` is the high word of ``value * bound``
+    (Lemire's method); a value whose low word falls below
+    ``2**32 % bound`` is rejected for the next one.  All attempts read one
+    stream, so ``A`` of them compute ``O(A (1 + S))`` values."""
     # a row redrawn for a rejection needs at least one value more
-    values = _row_values(seed, k, (attempt + 1) * (1 + s_count) + 4)
-    for _ in range(attempt + 1):
+    values = _row_values(seed, k, 1 + s_count + 4)
+    bounds = [s_count] + [s_count - 1] * s_count
+    while True:
         draws = []
-        for bound in [s_count] + [s_count - 1] * s_count:
+        for bound in bounds:
             threshold = (1 << 32) % bound
             product = next(values) * bound
             while product & _MASK32 < threshold:
                 product = next(values) * bound
             draws.append(product >> 32)
-    left, pick = draws[0], np.array(draws[1:])
-    pick += pick >= left  # skips the left-out control
-    return left, pick
+        left, pick = draws[0], np.array(draws[1:])
+        pick += pick >= left  # skips the left-out control
+        yield left, pick
+
+
+def _resample_row(seed: int, k: int, s_count: int, attempt: int):
+    """Resample ``attempt`` of iteration ``k``, the ``(attempt + 1)``-th
+    of ``_resamples(seed, k, s_count)``."""
+    return next(itertools.islice(_resamples(seed, k, s_count), attempt, None))
 
 
 def _sum_in_order(rows: np.ndarray) -> np.ndarray:
@@ -370,8 +453,9 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
     ``sd``.  Sums add the drawn rows in draw order, elementwise, so a row
     does not depend on the block it is computed in (a matrix product would
     not promise that).  A flat row cannot fail.  A tangent row is
-    ``_refit_row``'s; a failed fit is retried on the stream of ``k``, and
-    failing ``retry_cap`` times in a row raises, naming ``k``.
+    ``_refit_row``'s; a failed fit is retried with the next resample of
+    ``_resamples``, one stream per retried ``k``, and failing ``retry_cap``
+    times in a row raises, naming ``k``.
     """
     s_count, n_pairs = mats.shape[0], out.shape[1]
     lefts, picks = _resample_range(seed, start, start + len(out), s_count)
@@ -389,10 +473,9 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
             )
         return 0
     n_failures = 0
-    for row, (left, pick) in enumerate(zip(lefts, picks)):
-        for attempt in range(retry_cap):
-            if attempt:
-                left, pick = _resample_row(seed, start + row, s_count, attempt)
+    for row, first in enumerate(zip(lefts, picks)):
+        retries = itertools.islice(_resamples(seed, start + row, s_count), 1, retry_cap)
+        for left, pick in itertools.chain([first], retries):
             try:
                 out[row] = _refit_row(model, mats, left, pick)
             except _FIT_FAILURES:
@@ -404,6 +487,41 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
                 f"bootstrap iteration {start + row} failed {retry_cap} times in a row"
             )
     return n_failures
+
+
+def _bootstrap(model: GroupModel, mats, seed: int, m: int, out, on_chunk=None) -> int:
+    """Run the ``m`` bootstrap iterations into ``out``, ``_null_chunk`` by
+    ``_null_chunk``; returns the number of failed fits.
+
+    ``out`` is either the whole ``(m, P)`` null, each chunk written to its
+    own rows, or one ``(min(m, _DRAW_CHUNK), P)`` buffer that every chunk
+    overwrites; ``on_chunk(rows)`` sees each chunk's rows once written.
+    The retry cap and the 10% abort count failures over the whole run.
+    """
+    # An iteration that keeps failing is abandoned once it alone would push
+    # the total failure rate over the abort threshold.
+    retry_cap = max(1, math.ceil(0.1 * m) + 1)
+    n_failures = 0
+    for s in range(0, m, _DRAW_CHUNK):
+        rows = out[s % len(out):][:min(_DRAW_CHUNK, m - s)]
+        n_failures += _null_chunk(model, mats, seed, s, rows, retry_cap)
+        if on_chunk is not None:
+            on_chunk(rows)
+    if n_failures > 0.1 * m:
+        raise ConvergenceError(f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)")
+    return n_failures
+
+
+def _control_stack(controls, m, seed, parametrization: str):
+    """Check the bootstrap's arguments, then estimate the controls; returns
+    their ``(S, n, n)`` stack and region names."""
+    check_parametrization(parametrization)
+    check_integer("m", m, 1)
+    check_integer("seed", seed, 0)
+    mats, names = as_correlation_matrices(controls)
+    if mats.shape[0] < 3:
+        raise InvalidInputError("need at least 3 controls to build a null")
+    return mats, names
 
 
 def build_null(
@@ -426,6 +544,8 @@ def build_null(
     per iteration; its rows equal the per-iteration refits' statistics up
     to rounding.  One loop fills both nulls in place, ``_null_chunk`` by
     ``_null_chunk``; the retry cap and the 10% abort count over the run.
+    The result holds all ``m`` rows; ``score_subjects`` scores subjects
+    from the same rows without storing them.
 
     Parameters
     ----------
@@ -460,26 +580,18 @@ def build_null(
         If the fit of the control group fails, or more than 10% of the
         tangent surrogate fits fail across the whole run.
     """
-    check_parametrization(parametrization)
-    check_integer("m", m, 1)
-    check_integer("seed", seed, 0)
-    mats, names = as_correlation_matrices(controls)
-    s_count = mats.shape[0]
-    if s_count < 3:
-        raise InvalidInputError("need at least 3 controls to build a null")
-
+    mats, names = _control_stack(controls, m, seed, parametrization)
     model = fit_stack(mats, parametrization, region_names=names)
     values = np.empty((m, pair_count(model.n)))
-    # An iteration that keeps failing is abandoned once it alone would push
-    # the total failure rate over the abort threshold.
-    retry_cap = max(1, math.ceil(0.1 * m) + 1)
-    n_failures = sum(
-        _null_chunk(model, mats, seed, s, values[s:s + _DRAW_CHUNK], retry_cap)
-        for s in range(0, m, _DRAW_CHUNK)
-    )
-    if n_failures > 0.1 * m:
-        raise ConvergenceError(f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)")
+    n_failures = _bootstrap(model, mats, seed, m, values)
     return NullDistribution(model, values, seed, n_failures)
+
+
+def _statistics(model: GroupModel, mats) -> np.ndarray:
+    """Per-pair statistics of a validated ``(k, n, n)`` stack against the
+    control residuals stored on ``model``."""
+    n_pairs = pair_count(model.n)
+    return t_statistic(model.residuals[:, :n_pairs], model.project(mats)[:, :n_pairs])
 
 
 def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -490,10 +602,60 @@ def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
     model, then all rows of statistics with the null at once.  Returns
     ``t`` and ``p``, both ``(k, n (n - 1) / 2)`` in canonical pair order.
     """
-    model = null.model
-    n_pairs = pair_count(model.n)
-    t = t_statistic(model.residuals[:, :n_pairs], model.project(mats)[:, :n_pairs])
+    t = _statistics(null.model, mats)
     return t, empirical_pvalue(t, null.values)
+
+
+def score_subjects(
+    controls,
+    subjects,
+    m: int = 1000,
+    seed: int = 0,
+    *,
+    parametrization: str = TANGENT,
+) -> SubjectScores:
+    """Score subjects against the controls' bootstrap null without storing
+    the null.
+
+    The result equals ``score(build_null(controls, m, seed, ...),
+    subjects)`` with that null's model and ``n_failures``: the arguments,
+    the control fit, the null rows, the retries and the 10% abort are
+    ``build_null``'s.  ``subjects`` is an already validated ``(k, n, n)``
+    stack; its shape is checked before the controls are fitted.  Its
+    statistics come before the bootstrap, and a NaN among them raises
+    ``InvalidInputError`` there.  Each chunk of null rows is then written
+    into one reused ``(min(m, _DRAW_CHUNK), P)`` buffer, and its
+    exceedances are added into a ``(k, P)`` integer count, so memory is
+    ``O(k P + chunk P)`` however large ``m`` is.  A non-finite null row
+    raises ``InvalidInputError`` as ``empirical_pvalue`` does.
+    """
+    mats, names = _control_stack(controls, m, seed, parametrization)
+    if np.ndim(subjects) != 3 or np.shape(subjects)[1:] != mats.shape[1:]:
+        raise InvalidInputError(
+            f"subjects have shape {np.shape(subjects)}, controls are {mats.shape[1:]}"
+        )
+    model = fit_stack(mats, parametrization, region_names=names)
+    t = _statistics(model, subjects)
+    abs_t = _abs_statistic(t, t.shape)
+    below = np.zeros(t.shape, dtype=np.intp)
+    buffer = np.empty((min(m, _DRAW_CHUNK), t.shape[1]))
+    n_failures = _bootstrap(
+        model, mats, seed, m, buffer, lambda rows: _count_below(abs_t, rows, below)
+    )
+    return SubjectScores(model, t, _add_one(below, m), n_failures)
+
+
+def _bonferroni(p_raw, n_pairs: int):
+    return np.minimum(1.0, p_raw * n_pairs)
+
+
+def bonferroni_floor(n_pairs: int, m: int) -> float:
+    """The smallest Bonferroni-corrected p-value of an ``m``-iteration
+    null over ``n_pairs`` pairs: ``min(1, P / (m + 1))``, computed as a
+    report corrects its smallest raw p-value ``1 / (m + 1)``.  A pair can
+    be significant at ``alpha`` only when this is below ``alpha``, that is
+    when ``m + 1 > P / alpha``."""
+    return float(_bonferroni(_add_one(m, m), n_pairs))
 
 
 def check_alpha(alpha: float):
@@ -516,9 +678,9 @@ def test_patient(
     Projects the patient into the residual frame of the control model
     carried by ``null`` and scores each pair against the matching null
     column.  Raw p-values are Bonferroni-corrected over the
-    ``n (n - 1) / 2`` pairs.
+    ``P = n (n - 1) / 2`` pairs, so no pair can be significant unless
+    ``m + 1 > P / alpha`` (see ``bonferroni_floor``).
     """
-    check_alpha(alpha)
     model = null.model
     patient_mats, names = as_correlation_matrices([patient])
     if patient_mats.shape[1:] != model.mean.shape:
@@ -526,28 +688,8 @@ def test_patient(
             f"patient has shape {patient_mats.shape[1:]}, controls are {model.mean.shape}"
         )
     check_region_names(names, model.region_names)
-    (t_row,), (p_raw,) = score(null, patient_mats)
-    n_pairs = pair_count(model.n)
-    p_corr = np.minimum(1.0, p_raw * n_pairs)
-    ii, jj = tril_pairs(model.n)
-    pairs = tuple(
-        PairTest(
-            i=int(ii[k]),
-            j=int(jj[k]),
-            t=float(t_row[k]),
-            p_raw=float(p_raw[k]),
-            p_corrected=float(p_corr[k]),
-            direction=int(np.sign(t_row[k])),
-        )
-        for k in range(n_pairs)
-    )
-    return TestReport(
-        subject_id=subject_id,
-        alpha=alpha,
-        pairs=pairs,
-        region_names=model.region_names,
-        parametrization=model.parametrization,
-    )
+    scores = SubjectScores(model, *score(null, patient_mats), null.n_failures)
+    return scores.report(0, alpha, subject_id=subject_id)
 
 
 # keep pytest from collecting the public API as test callables

@@ -24,7 +24,7 @@ from .geometry import (
     vec_unembed,
 )
 from .group import TANGENT, check_parametrization, reconstruct
-from .inference import build_null, score
+from .inference import score_subjects
 
 
 # control sampling aborts when more than this share of draws needed clipping
@@ -236,11 +236,13 @@ def roc_experiment(
 ):
     """Run the full detection pipeline on one simulated experiment.
 
-    Draws controls, builds the bootstrap null with its group model, tests
-    ``n_patients`` simulated patients, and scores the per-pair p-values
-    against the known injected pairs, pooling over patients and pairs while
-    sweeping the threshold over the full grid the empirical null can
-    resolve.  Deterministic given ``cfg`` (including the seed).
+    Draws controls and ``n_patients`` simulated patients, tests the
+    patients' pairs while the bootstrap null is built (``score_subjects``:
+    the null is counted chunk by chunk and never stored, so memory does
+    not grow with ``m``), and scores the per-pair p-values against the
+    known injected pairs, pooling over patients and pairs while sweeping
+    the threshold over the full grid the empirical null can resolve.
+    Deterministic given ``cfg`` (including the seed).
 
     Returns a `RocCurve`; with ``return_details=True`` also returns a dict
     with the pooled scores, labels, and the mean per-patient count of pairs
@@ -249,17 +251,14 @@ def roc_experiment(
     seq = np.random.SeedSequence(cfg.seed)
     ss_controls, ss_patients, ss_null = seq.spawn(3)
     controls, _ = sample_population(cfg, rng=np.random.default_rng(ss_controls))
-    null_seed = int(ss_null.generate_state(1, np.uint64)[0])
-    null = build_null(
-        controls,
-        cfg.m,
-        null_seed,
-        parametrization=cfg.parametrization,
-    )
     patients, labels, patients_clipped = simulate_patients(
         cfg, np.random.default_rng(ss_patients)
     )
-    _, scores = score(null, patients)
+    null_seed = int(ss_null.generate_state(1, np.uint64)[0])
+    scored = score_subjects(
+        controls, patients, cfg.m, null_seed, parametrization=cfg.parametrization
+    )
+    scores = scored.p
 
     thresholds = np.arange(cfg.m + 2) / (cfg.m + 1)
     # share of labelled and unlabelled scores at or below each threshold
@@ -279,7 +278,7 @@ def roc_experiment(
         "scores": scores,
         "labels": labels,
         "mean_raw_detections": float((scores < 0.05)[labels].sum() / cfg.n_patients),
-        "null_failures": null.n_failures,
+        "null_failures": scored.n_failures,
         "patients_clipped": patients_clipped,
     }
     return curve, details

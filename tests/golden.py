@@ -32,18 +32,24 @@ CASES = ((3, 12, 0.3), (17, 15, 0.3), (29, 12, 0.5))
 PARAMETRIZATIONS = ("tangent", "flat")
 
 
+def case_inputs(seed: int, n: int, d_sigma: float):
+    """The config, controls and patient of one case."""
+    cfg = SimConfig(
+        n=n, n_controls=15, sigma=0.08, d_sigma=d_sigma, k_diffs=8, m=40,
+        n_patients=4, seed=seed,
+    )
+    controls, _ = sample_population(cfg)
+    (patient,), _ = sample_population(
+        cfg, rng=np.random.default_rng([seed, 1]), size=1
+    )
+    return cfg, controls, patient
+
+
 def golden_cases() -> dict[str, np.ndarray]:
     """Named result arrays, keyed ``<seed>/<parametrization>/<quantity>``."""
     out = {}
     for seed, n, d_sigma in CASES:
-        cfg = SimConfig(
-            n=n, n_controls=15, sigma=0.08, d_sigma=d_sigma, k_diffs=8, m=40,
-            n_patients=4, seed=seed,
-        )
-        controls, _ = sample_population(cfg)
-        (patient,), _ = sample_population(
-            cfg, rng=np.random.default_rng([seed, 1]), size=1
-        )
+        cfg, controls, patient = case_inputs(seed, n, d_sigma)
         for par in PARAMETRIZATIONS:
             key = f"{seed}/{par}"
             model = fit_from_matrices(controls, parametrization=par)

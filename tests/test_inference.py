@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,11 @@ from spdconn import (
 from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
-    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _refit_row, _resample_range, _resample_row,
-    _row_values, _stream_words, check_alpha,
+    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _null_chunk, _refit_row, _resample_range,
+    _resample_row, _resamples, _row_values, _stream_words, bonferroni_floor, check_alpha, score,
+    score_subjects,
 )
+from golden import CASES, case_inputs
 from test_group import cold_frechet
 
 
@@ -442,6 +445,38 @@ def test_stream_is_pinned():
         )
 
 
+@pytest.mark.parametrize("s_count", [3, 8, 20, 3000])
+def test_resamples_continue_one_generator(s_count):
+    # attempt a of iteration k is the (a + 1)-th resample of default_rng([seed, k])
+    for seed, k in [(0, 0), (7, 1030), (2**64 - 1, 2**32 + 3)]:
+        rng = np.random.default_rng([seed, k])
+        for draws in itertools.islice(_resamples(seed, k, s_count), 30):
+            assert_draws_equal(draws, numpy_resample(rng, s_count))
+
+
+def test_retries_compute_values_linear_in_attempts(control_mats, monkeypatch):
+    # the retries of one iteration read one stream: A attempts compute
+    # O(A (1 + S)) values, where replaying the stream for each attempt
+    # computes O(A^2 (1 + S))
+    s_count, seed, k, attempts = len(control_mats), 3, 5, 41
+    model = fit_stack(control_mats)
+    failing_refits(monkeypatch, first_draws(s_count, seed, [k], attempts=attempts - 1))
+    words = []
+    stream = inference._stream_words
+
+    def counting(seed, start, stop, count):
+        words.append((stop - start) * count)
+        return stream(seed, start, stop, count)
+
+    monkeypatch.setattr(inference, "_stream_words", counting)
+    out = np.empty((1, pair_count(8)))
+    assert _null_chunk(model, control_mats, seed, k, out, attempts) == attempts - 1
+    assert sum(words) <= 4 * attempts * (1 + s_count)
+    monkeypatch.undo()
+    left, pick = _resample_row(seed, k, s_count, attempts - 1)
+    assert np.array_equal(out[0], _refit_row(model, control_mats, left, pick))
+
+
 def test_row_values_extend_the_stream():
     # a row that runs out of computed values continues its stream
     values = _row_values(3, 9, 1)
@@ -551,6 +586,15 @@ class TestTestPatient:
         report = test_patient(patient, null)
         best = min(p.p_raw for p in report.pairs)
         assert best == 1.0 / (m + 1)
+        floor = min(p.p_corrected for p in report.pairs)
+        assert floor == bonferroni_floor(pair_count(8), m) == pair_count(8) / (m + 1)
+
+    def test_bonferroni_floor(self):
+        # P / (m + 1), capped at 1; below alpha = 0.05 at P=10 from m = 200 on
+        assert bonferroni_floor(10, 199) == 0.05
+        assert bonferroni_floor(10, 200) < 0.05
+        assert bonferroni_floor(10, 5) == 1.0
+        assert [bonferroni_floor(528, m) < 0.05 for m in (10_559, 10_560)] == [False, True]
 
     def test_dimension_mismatch(self, control_mats):
         null = build_null(control_mats, m=5, seed=0)
@@ -589,3 +633,132 @@ class TestTestPatient:
     @pytest.mark.parametrize("alpha", [0.05, 1, np.float64(0.01), np.float32(0.5)])
     def test_check_alpha_accepts_a_level(self, alpha):
         check_alpha(alpha)
+
+
+def stored_scores(controls, subjects, m, seed, parametrization="tangent"):
+    """``t``, ``p`` and ``n_failures`` of scoring a stored null."""
+    null = build_null(controls, m, seed, parametrization=parametrization)
+    return (*score(null, subjects), null.n_failures)
+
+
+def assert_same_scores(got, stored):
+    t, p, n_failures = stored
+    assert np.array_equal(got.t, t)
+    assert np.array_equal(got.p, p)
+    assert got.n_failures == n_failures
+
+
+class TestScoreSubjects:
+    """Scores counted while the null is built equal scoring the stored null."""
+
+    @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"seed{c[0]}")
+    def test_equals_the_stored_null_on_golden_inputs(self, case, parametrization):
+        cfg, controls, patient = case_inputs(*case)
+        subjects = np.concatenate([patient[None], controls[:3]])
+        args = (controls, subjects, cfg.m, case[0])
+        got = score_subjects(*args, parametrization=parametrization)
+        assert_same_scores(got, stored_scores(*args, parametrization))
+        assert got.p.shape == (4, pair_count(cfg.n))
+
+    @pytest.mark.parametrize("parametrization, m", [("flat", 10_000), ("tangent", 50)])
+    def test_equals_the_stored_null_at_benchmark_scale(self, parametrization, m):
+        # the population of the roc_flat and roc_tangent workloads
+        cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+        controls, _ = sample_population(cfg)
+        subjects, _ = sample_population(cfg, rng=np.random.default_rng(2), size=20)
+        got = score_subjects(controls, subjects, m, 77, parametrization=parametrization)
+        assert_same_scores(got, stored_scores(controls, subjects, m, 77, parametrization))
+
+    @pytest.mark.parametrize("parametrization, m", [
+        ("tangent", _DRAW_CHUNK + 10), ("flat", 2 * _DRAW_CHUNK + 1), ("flat", _DRAW_CHUNK - 1),
+    ])
+    def test_equals_the_stored_null_for_a_partial_last_chunk(self, two_chunk_mats, parametrization, m):
+        args = (two_chunk_mats, two_chunk_mats[:3], m, 5)
+        got = score_subjects(*args, parametrization=parametrization)
+        assert_same_scores(got, stored_scores(*args, parametrization))
+
+    def test_equals_the_stored_null_with_retries_across_a_chunk_boundary(self, two_chunk_mats, monkeypatch):
+        m, seed, s_count = _DRAW_CHUNK + 10, 5, len(two_chunk_mats)
+        failed = [_DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 3]
+        args = (two_chunk_mats, two_chunk_mats[:3], m, seed)
+        failing_refits(monkeypatch, first_draws(s_count, seed, failed))
+        stored = stored_scores(*args)
+        refits = failing_refits(monkeypatch, first_draws(s_count, seed, failed))
+        got = score_subjects(*args)
+        assert len(refits) == got.n_failures == len(failed)
+        assert_same_scores(got, stored)
+
+    def test_abort_raises_the_same_message(self, two_chunk_mats, monkeypatch):
+        m, seed = _DRAW_CHUNK + 10, 5
+        either_side = [_DRAW_CHUNK - 1, _DRAW_CHUNK + 1]
+        runs = [
+            lambda: build_null(two_chunk_mats, m=m, seed=seed),
+            lambda: score_subjects(two_chunk_mats, two_chunk_mats[:2], m, seed),
+        ]
+        for run in runs:
+            failing_refits(monkeypatch, first_draws(len(two_chunk_mats), seed, either_side, attempts=52))
+            with pytest.raises(ConvergenceError, match=rf"^104 failed fits over {m} bootstrap iterations \(> 10%\)$"):
+                run()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_null_chunk(self, control_mats, monkeypatch, bad):
+        chunk = inference._null_chunk
+
+        def spoiled(model, mats, seed, start, out, retry_cap):
+            n_failures = chunk(model, mats, seed, start, out, retry_cap)
+            out[len(out) // 2, -1] = bad
+            return n_failures
+
+        monkeypatch.setattr(inference, "_null_chunk", spoiled)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            score_subjects(control_mats, control_mats[:2], 20, 0, parametrization="flat")
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            build_null(control_mats, 20, 0, parametrization="flat")
+
+    @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
+    def test_refuses_a_nan_statistic_before_the_bootstrap(self, control_mats, monkeypatch, parametrization):
+        chunks = []
+        monkeypatch.setattr(inference, "_null_chunk", lambda *args: chunks.append(args) or 0)
+        subjects = control_mats[:2].copy()
+        subjects[1, 0, 1] = subjects[1, 1, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="statistic is NaN"):
+            score_subjects(control_mats, subjects, 20, 0, parametrization=parametrization)
+        assert chunks == []
+
+    def test_checks_the_subjects_before_fitting(self, control_mats, monkeypatch):
+        fits = []
+        monkeypatch.setattr(inference, "fit_stack", lambda *args, **kwargs: fits.append(args))
+        for subjects in (control_mats[0], control_mats[:2, :5, :5]):
+            with pytest.raises(InvalidInputError, match="subjects have shape"):
+                score_subjects(control_mats, subjects, 20, 0)
+        with pytest.raises(InvalidInputError, match="m must be an integer >= 1"):
+            score_subjects(control_mats, control_mats[:2], 0, 0)
+        assert fits == []
+
+    def test_chunks_reuse_one_buffer(self, control_mats, monkeypatch):
+        m = 2 * _DRAW_CHUNK + 5
+        seen = []
+        chunk = inference._null_chunk
+
+        def recording(model, mats, seed, start, out, retry_cap):
+            seen.append((start, out))
+            return chunk(model, mats, seed, start, out, retry_cap)
+
+        monkeypatch.setattr(inference, "_null_chunk", recording)
+        score_subjects(control_mats, control_mats[:2], m, 0, parametrization="flat")
+        assert [(start, len(out)) for start, out in seen] == [
+            (0, _DRAW_CHUNK), (_DRAW_CHUNK, _DRAW_CHUNK), (2 * _DRAW_CHUNK, 5),
+        ]
+        buffer = seen[0][1].base
+        assert buffer.shape == (_DRAW_CHUNK, pair_count(8))
+        assert all(out.base is buffer for _, out in seen)
+
+    def test_report_matches_test_patient(self, control_mats):
+        null = build_null(control_mats, m=25, seed=1)
+        scores = score_subjects(control_mats, control_mats[3:5], 25, 1)
+        for row in range(2):
+            expected = test_patient(control_mats[3 + row], null, alpha=0.1, subject_id="s")
+            assert scores.report(row, 0.1, subject_id="s") == expected
+        with pytest.raises(InvalidInputError, match="alpha"):
+            scores.report(0, 0.0)

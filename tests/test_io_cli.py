@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from spdconn import InvalidInputError, SimConfig, fit_from_matrices, sample_population, sample_time_series
+from spdconn import (
+    InvalidInputError, SimConfig, build_null, fit_from_matrices, sample_population,
+    sample_time_series, test_patient,
+)
 from spdconn import io as sio
 from spdconn import cli, exceptions
 from spdconn.cli import main
@@ -405,6 +408,37 @@ class TestCliTest:
         main(base + ["--seed", "1", "--out", str(out1)])
         main(base + ["--seed", "2", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize("m, warns", [(199, True), (200, False)])
+    def test_warns_when_bonferroni_cannot_reject(self, demo, tmp_path, capsys, m, warns):
+        # n=5 regions, P=10 pairs: a corrected p-value can fall below 0.05
+        # only when m + 1 > P / alpha = 200
+        out = tmp_path / "r.csv"
+        args = [
+            "test", "--controls", *demo["controls"], "--patient", demo["patient"],
+            "--m", str(m), "--seed", "3", "--parametrization", "flat", "--out", str(out),
+        ]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        if warns:
+            (line,) = captured.err.splitlines()
+            assert line.startswith("warning: ") and line.endswith("use --m 200 or more")
+        else:
+            assert captured.err == ""
+        # stdout and the report are those of scoring a stored null
+        controls = [sio.read_time_series(path) for path in demo["controls"]]
+        null = build_null(controls, m, 3, parametrization="flat")
+        patient = sio.read_time_series(demo["patient"])
+        subject_id = os.path.splitext(os.path.basename(demo["patient"]))[0]
+        report = test_patient(patient, null, subject_id=subject_id)
+        expected = tmp_path / "expected.csv"
+        sio.write_report(expected, report, m=m, seed=3)
+        assert out.read_bytes() == expected.read_bytes()
+        assert captured.out.splitlines() == [
+            "pairs_tested: 10",
+            f"significant_corrected: {report.n_significant(corrected=True)}",
+            f"significant_raw: {report.n_significant(corrected=False)}",
+        ]
 
     def test_flat_parametrization_runs(self, demo, tmp_path):
         out = tmp_path / "r.csv"

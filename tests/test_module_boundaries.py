@@ -1,8 +1,8 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
-generator of ``numpy.random`` and draws bootstrap chunks in one place, every
-function the benchmark's tracer relies on stays a public function, and the
-public API is the listed one."""
+generator of ``numpy.random``, draws bootstrap chunks in one place and runs
+one bootstrap loop with one abort, every function the benchmark's tracer
+relies on stays a public function, and the public API is the listed one."""
 
 import ast
 import importlib.util
@@ -166,6 +166,36 @@ def test_one_draw_loop_in_inference():
     # both nulls draw their chunks in _null_chunk; a second caller of
     # _resample_range would fork the chunk rule again
     assert len(call_sites((PACKAGE / "inference.py").read_text(), "_resample_range")) == 1
+
+
+def raise_sites(source: str, text: str) -> list[int]:
+    """Line numbers of the ``raise`` statements in ``source`` whose
+    message has a literal part containing ``text``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise)
+                  and any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                          and text in part.value for part in ast.walk(node)))
+
+
+def test_guard_finds_raise_sites():
+    source = (
+        "def f(n, m):\n"
+        "    if n > m:\n"
+        "        raise ValueError(f'{n} failed over {m} (> 10%)')\n"
+        "    print('(> 10%)')\n"
+        "    raise ValueError('over (> 10%) of ' + str(m))\n"
+        "raise KeyError('other')\n"
+    )
+    assert raise_sites(source, "(> 10%)") == [3, 5]
+
+
+def test_one_bootstrap_loop_in_inference():
+    # the stored null of build_null and the counted one of score_subjects
+    # run one loop over _null_chunk, with one 10% abort: a second caller or
+    # a second abort would fork their retries and failure counts
+    source = (PACKAGE / "inference.py").read_text()
+    assert len(call_sites(source, "_null_chunk")) == 1
+    assert len(raise_sites(source, "(> 10%)")) == 1
 
 
 def test_traced_names_are_public_functions():
