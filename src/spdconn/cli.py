@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .estimators import as_correlation_matrices, correlation_matrix, residualize_confounds
+from .estimators import residualize_confounds
 from .exceptions import (
     ConfigurationError,
     InvalidInputError,
@@ -24,10 +24,10 @@ from .geometry import pair_count
 from .group import (
     FLAT,
     TANGENT,
-    check_region_names,
     fit_group_model,
     leave_one_out_scores,
     log_likelihood,
+    subject_stack,
 )
 from .inference import bonferroni_floor, check_alpha, score_subjects
 from .simulate import SimConfig, cell_seed, roc_experiment
@@ -83,13 +83,13 @@ def cmd_test(args) -> int:
     check_integer("--m", args.m, 1)
     check_integer("seed", args.seed, 0)
     controls = _load_series(args.controls)
-    patient = sio.read_time_series(args.patient)
-    # refuse a mis-paired patient before the bootstrap, not after it
-    check_region_names(patient.region_names, controls[0].region_names)
-    patient_mats, _ = as_correlation_matrices([patient])
+    # refuse a mis-paired patient before the warning and the bootstrap
+    patient = subject_stack(
+        [sio.read_time_series(args.patient)], controls[0].n, controls[0].region_names
+    )
     _warn_if_bonferroni_cannot_reject(pair_count(controls[0].n), args.m, args.alpha)
     scores = score_subjects(
-        controls, patient_mats, args.m, args.seed, parametrization=args.parametrization
+        controls, patient, args.m, args.seed, parametrization=args.parametrization
     )
     subject_id = os.path.splitext(os.path.basename(args.patient))[0]
     report = scores.report(0, args.alpha, subject_id=subject_id)
@@ -126,12 +126,10 @@ def cmd_likelihood(args) -> int:
             "a saved model is always tangent; --parametrization flat needs --loo"
         )
     model = sio.read_model(args.model)
-    subjects = _load_series(args.subjects)
-    for ts in subjects:
-        check_region_names(ts.region_names, model.region_names)
+    # every subject is scored before anything is printed
+    scores = [log_likelihood(model, ts) for ts in _load_series(args.subjects)]
     print("subject\tlog_likelihood")
-    for path, ts in zip(args.subjects, subjects):
-        score = log_likelihood(model, correlation_matrix(ts))
+    for path, score in zip(args.subjects, scores):
         print(f"{os.path.basename(path)}\t{score:.6f}")
     return 0
 

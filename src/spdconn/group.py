@@ -25,7 +25,6 @@ from .geometry import (
     spd_expm,
     spd_sqrtm,
     symmetrize,
-    validate_spd,
     validate_spd_stack,
     vec_dim,
     vec_embed,
@@ -223,14 +222,26 @@ def reconstruct(group_mean, deviation) -> np.ndarray:
     return symmetrize(root @ (np.eye(root.shape[0]) + symmetrize(deviation)) @ root)
 
 
-def check_region_names(names, controls):
-    """Raise ``InvalidInputError`` when a subject's region names and the
-    controls' are both known and differ, in names or in column order."""
-    if names is not None and controls is not None:
-        if tuple(names) != tuple(controls):
-            raise InvalidInputError(
-                f"subject regions {tuple(names)} differ from the controls' {tuple(controls)}"
-            )
+def subject_stack(subjects, n: int, region_names) -> np.ndarray:
+    """The ``(k, n, n)`` stack of subjects to score against controls of
+    ``n`` regions named ``region_names`` (None when unknown).
+
+    Subjects are estimated as the controls are, by
+    :func:`as_correlation_matrices`: `TimeSeries` or SPD arrays.  Raises
+    ``InvalidInputError`` for an array that is not a stack, for another
+    dimension than ``n``, and for region names that differ from the
+    controls' in names or in column order when both are known.
+    """
+    if isinstance(subjects, np.ndarray) and subjects.ndim != 3:
+        raise InvalidInputError(f"subjects have shape {subjects.shape}, controls are {(n, n)}")
+    mats, names = as_correlation_matrices(subjects)
+    if mats.shape[1:] != (n, n):
+        raise InvalidInputError(f"subjects have shape {mats.shape}, controls are {(n, n)}")
+    if names is not None and region_names is not None and names != tuple(region_names):
+        raise InvalidInputError(
+            f"subject regions {names} differ from the controls' {tuple(region_names)}"
+        )
+    return mats
 
 
 @dataclass(frozen=True)
@@ -360,19 +371,16 @@ def _log_density(model: GroupModel, mats) -> np.ndarray:
 
 
 def log_likelihood(model: GroupModel, subject) -> float:
-    """Log density of a subject matrix under the isotropic residual model.
+    """Log density of a subject under the isotropic residual model.
 
     ``-(d/2) log(2 pi sigma^2) - ||residual coordinates||^2 / (2 sigma^2)``
     with ``d = n (n + 1) / 2``.  Only differences between likelihoods are
     meaningful; the constant is the Gaussian normalization on the residual
-    coordinate space.
+    coordinate space.  ``subject`` is a `TimeSeries` or an SPD matrix,
+    taken through :func:`subject_stack` against the model's dimension and
+    ``model.region_names``.
     """
-    subject = validate_spd(subject)
-    if subject.shape != model.mean.shape:
-        raise InvalidInputError(
-            f"subject has shape {subject.shape}, model is {model.mean.shape}"
-        )
-    return float(_log_density(model, subject))
+    return float(_log_density(model, subject_stack([subject], model.n, model.region_names)[0]))
 
 
 def leave_one_out_scores(
@@ -384,9 +392,8 @@ def leave_one_out_scores(
 
     For each subject ``s``, fit the model on the remaining subjects and
     score ``s`` under it.  Each entry of ``others`` is scored under every
-    leave-one-out model and averaged; it must have the subjects' dimension
-    and, when both groups carry region names, their names in the same
-    column order.
+    leave-one-out model and averaged; ``others`` are taken through
+    :func:`subject_stack` against the subjects' dimension and region names.
 
     Returns
     -------
@@ -395,15 +402,10 @@ def leave_one_out_scores(
     """
     mats, names = as_correlation_matrices(subjects)
     others = list(others)
-    other_mats, other_names = as_correlation_matrices(others) if others else (mats[:0], None)
+    other_mats = subject_stack(others, mats.shape[-1], names) if others else mats[:0]
     s_count = mats.shape[0]
     if s_count < 3:
         raise InvalidInputError("leave-one-out needs at least 3 subjects")
-    if other_mats.shape[1:] != mats.shape[1:]:
-        raise InvalidInputError(
-            f"other subjects are {other_mats.shape[1:]}, subjects are {mats.shape[1:]}"
-        )
-    check_region_names(other_names, names)
     subject_scores = np.empty(s_count)
     other_scores = np.zeros(len(other_mats))
     for left in range(s_count):

@@ -46,8 +46,8 @@ from .group import (
     TANGENT,
     GroupModel,
     check_parametrization,
-    check_region_names,
     fit_stack,
+    subject_stack,
 )
 from .geometry import pair_count, tril_pairs
 
@@ -620,22 +620,22 @@ def score_subjects(
     The result equals ``score(build_null(controls, m, seed, ...),
     subjects)`` with that null's model and ``n_failures``: the arguments,
     the control fit, the null rows, the retries and the 10% abort are
-    ``build_null``'s.  ``subjects`` is an already validated ``(k, n, n)``
-    stack; its shape is checked before the controls are fitted.  Its
-    statistics come before the bootstrap, and a NaN among them raises
-    ``InvalidInputError`` there.  Each chunk of null rows is then written
-    into one reused ``(min(m, _DRAW_CHUNK), P)`` buffer, and its
-    exceedances are added into a ``(k, P)`` integer count, so memory is
-    ``O(k P + chunk P)`` however large ``m`` is.  A non-finite null row
-    raises ``InvalidInputError`` as ``empirical_pvalue`` does.
+    ``build_null``'s.  ``subjects`` are taken as ``build_null`` takes the
+    controls, `TimeSeries` or SPD arrays, and checked against the controls'
+    dimension and region names by ``group.subject_stack`` before the
+    controls are fitted.  Their statistics come before the bootstrap, and
+    a NaN among them raises ``InvalidInputError`` there.  Each chunk of
+    null rows is then written into one reused ``(min(m, _DRAW_CHUNK), P)``
+    buffer, and its exceedances are added into a ``(k, P)`` integer count,
+    so memory is ``O(k P + chunk P)`` however large ``m`` is.  A
+    non-finite null row raises ``InvalidInputError`` as
+    ``empirical_pvalue`` does.
     """
     mats, names = _control_stack(controls, m, seed, parametrization)
-    if np.ndim(subjects) != 3 or np.shape(subjects)[1:] != mats.shape[1:]:
-        raise InvalidInputError(
-            f"subjects have shape {np.shape(subjects)}, controls are {mats.shape[1:]}"
-        )
+    subjects = subject_stack(subjects, mats.shape[-1], names)
     model = fit_stack(mats, parametrization, region_names=names)
     t = _statistics(model, subjects)
+    del subjects  # the bootstrap keeps only t
     abs_t = _abs_statistic(t, t.shape)
     below = np.zeros(t.shape, dtype=np.intp)
     buffer = np.empty((min(m, _DRAW_CHUNK), t.shape[1]))
@@ -675,19 +675,16 @@ def test_patient(
 ) -> TestReport:
     """Test every region pair of one subject against the control group.
 
-    Projects the patient into the residual frame of the control model
-    carried by ``null`` and scores each pair against the matching null
-    column.  Raw p-values are Bonferroni-corrected over the
-    ``P = n (n - 1) / 2`` pairs, so no pair can be significant unless
-    ``m + 1 > P / alpha`` (see ``bonferroni_floor``).
+    The patient, a `TimeSeries` or an SPD matrix, is taken through
+    ``group.subject_stack`` against ``null.model``'s dimension and region
+    names, projected into that model's residual frame and scored on each
+    pair against the matching null column.  Raw p-values are
+    Bonferroni-corrected over the ``P = n (n - 1) / 2`` pairs, so no pair
+    can be significant unless ``m + 1 > P / alpha`` (see
+    ``bonferroni_floor``).
     """
     model = null.model
-    patient_mats, names = as_correlation_matrices([patient])
-    if patient_mats.shape[1:] != model.mean.shape:
-        raise InvalidInputError(
-            f"patient has shape {patient_mats.shape[1:]}, controls are {model.mean.shape}"
-        )
-    check_region_names(names, model.region_names)
+    patient_mats = subject_stack([patient], model.n, model.region_names)
     scores = SubjectScores(model, *score(null, patient_mats), null.n_failures)
     return scores.report(0, alpha, subject_id=subject_id)
 

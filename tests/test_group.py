@@ -10,6 +10,7 @@ from spdconn import (
     InvalidInputError,
     SimConfig,
     TimeSeries,
+    correlation_matrix,
     fit_from_matrices,
     fit_group_model,
     frechet_mean,
@@ -475,6 +476,16 @@ class TestLogLikelihood:
         model = GroupModel(mean=random_spd(rng, 3), sigma=1.0, n_subjects=3)
         with pytest.raises(InvalidInputError, match="shape"):
             log_likelihood(model, random_spd(rng, 4))
+
+    def test_takes_a_time_series_named_as_the_model(self):
+        cfg = SimConfig(n=5, n_controls=7, sigma=0.08, seed=42, k_diffs=3)
+        *controls, subject = sample_time_series(cfg, t=60)
+        model = fit_group_model(controls)
+        assert log_likelihood(model, subject) == log_likelihood(model, correlation_matrix(subject))
+        perm = [1, 0, 2, 3, 4]
+        swapped = TimeSeries(subject.values[:, perm], [subject.region_names[k] for k in perm])
+        with pytest.raises(InvalidInputError, match="differ from the controls'"):
+            log_likelihood(model, swapped)
 
 
 class TestLeaveOneOut:

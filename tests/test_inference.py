@@ -7,9 +7,11 @@ import pytest
 from spdconn import (
     ConvergenceError,
     InvalidInputError,
+    NearSingularError,
     SimConfig,
     TimeSeries,
     build_null,
+    correlation_matrix,
     empirical_pvalue,
     fit_from_matrices,
     pair_count,
@@ -718,13 +720,15 @@ class TestScoreSubjects:
 
     @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
     def test_refuses_a_nan_statistic_before_the_bootstrap(self, control_mats, monkeypatch, parametrization):
-        chunks = []
+        chunks, fits = [], []
         monkeypatch.setattr(inference, "_null_chunk", lambda *args: chunks.append(args) or 0)
+        monkeypatch.setattr(inference, "fit_stack", lambda *args, **kwargs: fits.append(args))
         subjects = control_mats[:2].copy()
         subjects[1, 0, 1] = subjects[1, 1, 0] = np.nan
-        with pytest.raises(InvalidInputError, match="statistic is NaN"):
+        with pytest.raises(InvalidInputError, match="non-finite"):
             score_subjects(control_mats, subjects, 20, 0, parametrization=parametrization)
         assert chunks == []
+        assert fits == []
 
     def test_checks_the_subjects_before_fitting(self, control_mats, monkeypatch):
         fits = []
@@ -734,6 +738,35 @@ class TestScoreSubjects:
                 score_subjects(control_mats, subjects, 20, 0)
         with pytest.raises(InvalidInputError, match="m must be an integer >= 1"):
             score_subjects(control_mats, control_mats[:2], 0, 0)
+        assert fits == []
+
+    def test_refuses_an_indefinite_subject_before_fitting(self, control_mats, monkeypatch):
+        # a stack is validated as test_patient validates its patient
+        null = build_null(control_mats, 5, 0)
+        subjects = control_mats[:2].copy()
+        subjects[1] -= np.eye(8)  # indefinite
+        with pytest.raises(NearSingularError):
+            test_patient(subjects[1], null)
+        fits = []
+        monkeypatch.setattr(inference, "fit_stack", lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(NearSingularError):
+            score_subjects(control_mats, subjects, 20, 0)
+        assert fits == []
+
+    def test_takes_time_series_subjects(self, named_series, monkeypatch):
+        controls, subjects = named_series[:4], named_series[4:]
+        stack = np.stack([correlation_matrix(ts) for ts in subjects])
+        expected = score_subjects(controls, stack, 20, 3)
+        assert_same_scores(
+            score_subjects(controls, subjects, 20, 3),
+            (expected.t, expected.p, expected.n_failures),
+        )
+        fits = []
+        monkeypatch.setattr(inference, "fit_stack", lambda *args, **kwargs: fits.append(args))
+        perm = [1, 0, 2, 3, 4]
+        permuted = TimeSeries(subjects[0].values[:, perm], [subjects[0].region_names[k] for k in perm])
+        with pytest.raises(InvalidInputError, match="differ from the controls'"):
+            score_subjects(controls, [permuted], 20, 3)
         assert fits == []
 
     def test_chunks_reuse_one_buffer(self, control_mats, monkeypatch):

@@ -504,6 +504,27 @@ class TestCliLikelihood:
         assert "regions" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("case", ["constant", "four_regions"])
+    def test_model_mode_prints_nothing_when_a_subject_fails(self, demo, tmp_path, capsys, case):
+        from spdconn import TimeSeries
+
+        model_path = tmp_path / "model.json"
+        main(["fit", "--controls", *demo["controls"], "--out", str(model_path)])
+        capsys.readouterr()
+        bad = tmp_path / "bad.csv"
+        if case == "constant":
+            write_series_csv(bad, TimeSeries(np.ones((60, 5))))
+        else:
+            # a model without region names cannot refuse by name, only by dimension
+            doc = json.loads(model_path.read_text())
+            model_path.write_text(json.dumps({**doc, "region_names": None}))
+            write_series_csv(bad, TimeSeries(np.random.default_rng(0).standard_normal((60, 4))))
+        code = main(["likelihood", "--model", str(model_path), demo["patient"], str(bad)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_missing_model_fails(self, demo, capsys):
         code = main(["likelihood", "--model", "/nonexistent/m.json", demo["patient"]])
         assert code != 0

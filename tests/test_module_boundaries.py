@@ -1,8 +1,9 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
 generator of ``numpy.random``, draws bootstrap chunks in one place and runs
-one bootstrap loop with one abort, every function the benchmark's tracer
-relies on stays a public function, and the public API is the listed one."""
+one bootstrap loop with one abort, subjects are paired with the controls in
+one place, every function the benchmark's tracer relies on stays a public
+function, and the public API is the listed one."""
 
 import ast
 import importlib.util
@@ -196,6 +197,17 @@ def test_one_bootstrap_loop_in_inference():
     source = (PACKAGE / "inference.py").read_text()
     assert len(call_sites(source, "_null_chunk")) == 1
     assert len(raise_sites(source, "(> 10%)")) == 1
+
+
+def test_one_subject_check_in_the_package():
+    # every scorer pairs its subjects with the controls through
+    # group.subject_stack; a second copy of the check could drift from it
+    def modules(text):
+        return [path.name for path in sorted(PACKAGE.glob("*.py"))
+                for _ in raise_sites(path.read_text(), text)]
+
+    assert modules("differ from the controls'") == ["group.py"]
+    assert set(modules("subjects have shape")) == {"group.py"}
 
 
 def test_traced_names_are_public_functions():
