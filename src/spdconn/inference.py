@@ -172,6 +172,8 @@ class NullDistribution:
             raise InvalidInputError(
                 f"null values have shape {self.values.shape}, expected (m, {pair_count(self.n)})"
             )
+        if self.values.size == 0:
+            raise InvalidInputError("empty null distribution")
         # min and max propagate NaN, and an inf is one of them: no (m, P) temporary
         if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise InvalidInputError("null distribution contains non-finite values")
@@ -322,9 +324,10 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
 
 
-def _stream_words(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """The first ``count`` 32-bit values of the stream of each iteration
-    ``start <= k < stop``, as a ``(stop - start, count)`` uint64 array.
+def _streams(seed: int, start: int, stop: int, count: int):
+    """The streams of iterations ``start <= k < stop``, seeded once: each
+    ``next`` gives their next ``count`` 32-bit values (``count`` even), as
+    a ``(stop - start, count)`` uint64 array.
 
     The stream of ``k`` is seeded as numpy seeds ``default_rng([seed, k])``:
     the SeedSequence of the 32-bit entropy words of ``seed`` then ``k``
@@ -356,14 +359,15 @@ def _stream_words(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     lo = inc_lo + seed_lo
     hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
 
-    words = np.empty((len(ks), count + 1), np.uint64)
-    for j in range(0, count, 2):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> 58
-        mixed = hi ^ lo
-        out = mixed >> rot | mixed << (64 - rot & 63)
-        words[:, j], words[:, j + 1] = out & _MASK32, out >> 32
-    return words[:, :count]
+    while True:
+        words = np.empty((len(ks), count), np.uint64)
+        for j in range(0, count, 2):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            rot = hi >> 58
+            mixed = hi ^ lo
+            out = mixed >> rot | mixed << (64 - rot & 63)
+            words[:, j], words[:, j + 1] = out & _MASK32, out >> 32
+        yield words
 
 
 def _resample_range(seed: int, start: int, stop: int, s_count: int):
@@ -371,7 +375,7 @@ def _resample_range(seed: int, start: int, stop: int, s_count: int):
     ``k - start`` of ``(left, pick)`` is ``_resample_row(seed, k, s_count, 0)``,
     drawn here from ``1 + S`` stream values per row.  A row where Lemire's
     method rejects a value is drawn again by ``_resample_row``."""
-    words = _stream_words(seed, start, stop, 1 + s_count)
+    words = next(_streams(seed, start, stop, 2 * (s_count // 2 + 1)))[:, :1 + s_count]
     bound = np.full(1 + s_count, s_count - 1, np.uint64)
     bound[0] = s_count
     product = words * bound
@@ -384,13 +388,11 @@ def _resample_range(seed: int, start: int, stop: int, s_count: int):
     return left, pick
 
 
-def _row_values(seed: int, k: int, count: int):
-    """The 32-bit values of the stream of iteration ``k``, one at a time:
-    ``count`` are computed first, twice as many each time they run out."""
-    done = 0
-    while True:
-        yield from _stream_words(seed, k, k + 1, count)[0, done:].tolist()
-        done, count = count, 2 * count
+def _row_values(seed: int, k: int):
+    """The 32-bit values of the stream of iteration ``k``, one at a time,
+    computed 64 at a time, each once."""
+    for words in _streams(seed, k, k + 1, 64):
+        yield from words[0].tolist()
 
 
 def _resamples(seed: int, k: int, s_count: int):
@@ -400,9 +402,9 @@ def _resamples(seed: int, k: int, s_count: int):
     draw them.  A draw below ``bound`` is the high word of ``value * bound``
     (Lemire's method); a value whose low word falls below
     ``2**32 % bound`` is rejected for the next one.  All attempts read one
-    stream, so ``A`` of them compute ``O(A (1 + S))`` values."""
-    # a row redrawn for a rejection needs at least one value more
-    values = _row_values(seed, k, 1 + s_count + 4)
+    stream and each of its values is computed once, so ``A`` attempts
+    compute the values they read and less than one block more."""
+    values = _row_values(seed, k)
     bounds = [s_count] + [s_count - 1] * s_count
     while True:
         draws = []
@@ -514,13 +516,16 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, out, on_chunk=None) -
 
 def _control_stack(controls, m, seed, parametrization: str):
     """Check the bootstrap's arguments, then estimate the controls; returns
-    their ``(S, n, n)`` stack and region names."""
+    their ``(S, n, n)`` stack and region names.  Fewer than 3 controls or
+    2 regions are refused before any fit."""
     check_parametrization(parametrization)
     check_integer("m", m, 1)
     check_integer("seed", seed, 0)
     mats, names = as_correlation_matrices(controls)
     if mats.shape[0] < 3:
         raise InvalidInputError("need at least 3 controls to build a null")
+    if mats.shape[-1] < 2:
+        raise InvalidInputError(f"need at least 2 regions to test a pair, got {mats.shape[-1]}")
     return mats, names
 
 
@@ -575,7 +580,8 @@ def build_null(
     ------
     InvalidInputError
         If ``m`` is not an integer >= 1 or ``seed`` not one >= 0 (Python or
-        numpy integers), before any control is estimated.
+        numpy integers), before any control is estimated; if there are
+        fewer than 3 controls or 2 regions, before any fit.
     ConvergenceError
         If the fit of the control group fails, or more than 10% of the
         tangent surrogate fits fail across the whole run.

@@ -39,10 +39,10 @@ def _atomic_write_text(path, text: str):
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 file, line ends untranslated; a file that does
-    not decode is refused by name."""
+    """The text of a UTF-8 file, line ends untranslated and a leading
+    byte-order mark dropped; a file that does not decode is refused by name."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not valid UTF-8: {exc}") from None

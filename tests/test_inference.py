@@ -14,6 +14,7 @@ from spdconn import (
     correlation_matrix,
     empirical_pvalue,
     fit_from_matrices,
+    log_likelihood,
     pair_count,
     sample_population,
     sample_time_series,
@@ -24,7 +25,7 @@ from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
     _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _null_chunk, _refit_row, _resample_range,
-    _resample_row, _resamples, _row_values, _stream_words, bonferroni_floor, check_alpha, score,
+    _resample_row, _resamples, _row_values, _streams, bonferroni_floor, check_alpha, score,
     score_subjects,
 )
 from golden import CASES, case_inputs
@@ -201,6 +202,32 @@ class TestBuildNull:
     def test_needs_three_controls(self, control_mats):
         with pytest.raises(InvalidInputError):
             build_null(control_mats[:2], m=5, seed=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda stack: build_null(stack, m=5),
+        lambda stack: score_subjects(stack, stack[:1], 5),
+    ], ids=["build_null", "score_subjects"])
+    def test_needs_two_regions_before_fitting(self, monkeypatch, build):
+        # one region has no pair to test
+        fits = []
+        monkeypatch.setattr(inference, "fit_stack", lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(InvalidInputError, match="need at least 2 regions to test a pair, got 1"):
+            build(np.arange(1.0, 5.0).reshape(4, 1, 1))
+        assert fits == []
+
+    def test_fit_and_likelihood_take_one_region(self):
+        stack = np.arange(1.0, 5.0).reshape(4, 1, 1)
+        model = fit_from_matrices(stack)
+        assert model.n == 1 and model.sigma > 0
+        assert np.isfinite(log_likelihood(model, stack[0]))
+
+    def test_null_distribution_refuses_empty_values(self, control_mats):
+        null = build_null(control_mats, m=6, seed=1, parametrization="flat")
+        with pytest.raises(InvalidInputError, match="empty null distribution"):
+            replace(null, values=null.values[:0])
+        one_region = fit_from_matrices(np.arange(1.0, 5.0).reshape(4, 1, 1))
+        with pytest.raises(InvalidInputError, match="empty null distribution"):
+            inference.NullDistribution(one_region, np.empty((6, 0)))
 
     @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
     @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.0, "3", True, None])
@@ -457,32 +484,36 @@ def test_resamples_continue_one_generator(s_count):
 
 
 def test_retries_compute_values_linear_in_attempts(control_mats, monkeypatch):
-    # the retries of one iteration read one stream: A attempts compute
-    # O(A (1 + S)) values, where replaying the stream for each attempt
-    # computes O(A^2 (1 + S))
+    # the retries of one iteration read one stream and compute each of its
+    # values once: A attempts compute the A (1 + S) values they read, less
+    # than one block more, and the chunk's first block
     s_count, seed, k, attempts = len(control_mats), 3, 5, 41
     model = fit_stack(control_mats)
     failing_refits(monkeypatch, first_draws(s_count, seed, [k], attempts=attempts - 1))
-    words = []
-    stream = inference._stream_words
+    first_blocks, computed = [], []
+    streams = inference._streams
 
     def counting(seed, start, stop, count):
-        words.append((stop - start) * count)
-        return stream(seed, start, stop, count)
+        first_blocks.append((stop - start) * count)
+        for words in streams(seed, start, stop, count):
+            computed.append(words.size)
+            yield words
 
-    monkeypatch.setattr(inference, "_stream_words", counting)
+    monkeypatch.setattr(inference, "_streams", counting)
     out = np.empty((1, pair_count(8)))
     assert _null_chunk(model, control_mats, seed, k, out, attempts) == attempts - 1
-    assert sum(words) <= 4 * attempts * (1 + s_count)
+    chunk_block, row_block = first_blocks
+    assert sum(computed) <= attempts * (1 + s_count) + row_block + chunk_block
     monkeypatch.undo()
     left, pick = _resample_row(seed, k, s_count, attempts - 1)
     assert np.array_equal(out[0], _refit_row(model, control_mats, left, pick))
 
 
 def test_row_values_extend_the_stream():
-    # a row that runs out of computed values continues its stream
-    values = _row_values(3, 9, 1)
-    assert [next(values) for _ in range(40)] == _stream_words(3, 9, 10, 40)[0].tolist()
+    # a row that runs out of computed values continues its stream: three
+    # blocks and more equal one long first block of the same stream
+    values = _row_values(3, 9)
+    assert [next(values) for _ in range(200)] == next(_streams(3, 9, 10, 200))[0].tolist()
 
 
 def flat_reference_row(mats, seed, k):

@@ -82,6 +82,16 @@ class TestTimeSeriesIO:
         assert back.region_names == ("a", "b")
         assert np.array_equal(back.values, [[1.5, 2.0], [3.0, 4.25]])
 
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        # spreadsheet exports start UTF-8 files with a byte-order mark
+        text = "a,b\n1.5,2\n3,4.25\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(text.encode("utf-8-sig"))
+        back, marked_back = sio.read_time_series(plain), sio.read_time_series(marked)
+        assert marked_back.region_names == back.region_names == ("a", "b")
+        assert np.array_equal(marked_back.values, back.values)
+
     def test_error_rows_count_non_blank_lines(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n\n1.0,2.0\n\n3.0,x\n4,5\n")
@@ -367,6 +377,36 @@ class TestCliTest:
         ]
         assert main(args) == 0
         assert len(calls) == len(demo["controls"]) + 1
+
+    def test_controls_with_a_byte_order_mark_pair_with_a_patient_without(self, demo, tmp_path):
+        marked = []
+        for path in demo["controls"]:
+            copy = tmp_path / os.path.basename(path)
+            with open(path, "rb") as handle:
+                copy.write_bytes(b"\xef\xbb\xbf" + handle.read())
+            marked.append(str(copy))
+        reports = []
+        for controls in (demo["controls"], marked):
+            out = tmp_path / f"r{len(reports)}.csv"
+            args = ["test", "--controls", *controls, "--patient", demo["patient"], "--m", "5"]
+            assert main(args + ["--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0]
+
+    def test_refuses_one_region(self, tmp_path, rng, capsys):
+        from spdconn import TimeSeries
+
+        paths = []
+        for k in range(5):
+            paths.append(str(tmp_path / f"s{k}.csv"))
+            write_series_csv(paths[-1], TimeSeries(rng.standard_normal((30, 1)), ("a",)))
+        out = tmp_path / "r.csv"
+        args = ["test", "--controls", *paths[:4], "--patient", paths[4], "--m", "5", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: need at least 2 regions")
+        assert not out.exists()
+        # a fit takes one region
+        assert main(["fit", "--controls", *paths, "--out", str(tmp_path / "model.json")]) == 0
 
     @pytest.mark.parametrize("case", ["alpha", "regions", "m", "seed"])
     def test_rejects_bad_arguments_before_bootstrap(self, demo, tmp_path, monkeypatch, capsys, case):

@@ -1,9 +1,10 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
-generator of ``numpy.random``, draws bootstrap chunks in one place and runs
-one bootstrap loop with one abort, subjects are paired with the controls in
-one place, every function the benchmark's tracer relies on stays a public
-function, and the public API is the listed one."""
+generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
+each bootstrap stream once, runs one bootstrap loop with one abort, subjects
+are paired with the controls in one place, every function the benchmark's
+tracer relies on stays a public function, and the public API is the listed
+one."""
 
 import ast
 import importlib.util
@@ -167,6 +168,19 @@ def test_one_draw_loop_in_inference():
     # both nulls draw their chunks in _null_chunk; a second caller of
     # _resample_range would fork the chunk rule again
     assert len(call_sites((PACKAGE / "inference.py").read_text(), "_resample_range")) == 1
+
+
+def test_each_stream_is_one_generator():
+    # _resample_range takes a chunk's first block of its streams and
+    # _row_values continues one row's: a third caller, or a _stream_words
+    # that restarts a stream, would compute its values again
+    source = (PACKAGE / "inference.py").read_text()
+    functions = {node.name: ast.get_source_segment(source, node)
+                 for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert "_stream_words" not in functions
+    assert len(call_sites(source, "_streams")) == 2
+    callers = [name for name, text in functions.items() if call_sites(text, "_streams")]
+    assert callers == ["_resample_range", "_row_values"]
 
 
 def raise_sites(source: str, text: str) -> list[int]:
