@@ -24,7 +24,7 @@ from spdconn import (
     vec_unembed,
 )
 from spdconn.geometry import eig_apply, eig_decompose, spd_expm, symmetrize, vec_embed, whiten
-from spdconn import group
+from spdconn import group, inference
 from spdconn.estimators import as_correlation_matrices
 from spdconn.group import (
     _CG_TOLERANCE,
@@ -34,6 +34,7 @@ from spdconn.group import (
     _newton_step,
     fit_stack,
 )
+from golden import CASES, case_inputs
 from helpers import random_invertible, random_orthogonal, random_spd, random_symmetric
 
 seeds = st.integers(0, 2**31 - 1)
@@ -244,6 +245,20 @@ def warm_case(seed, n=6, s_count=20, repeat=None):
     return controls, pick
 
 
+def spy_exit_bounds(monkeypatch):
+    """Record what ``group._exit_bound`` returns, ``(estimate, bound)``
+    per call, in a list."""
+    bounds = []
+    exit_bound = group._exit_bound
+
+    def spy(*args):
+        bounds.append(exit_bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(group, "_exit_bound", spy)
+    return bounds
+
+
 def warm_and_cold(controls, pick):
     """The fit of ``controls[pick]`` started from the frame of the fit of
     ``controls``, and the same fit started at the arithmetic mean."""
@@ -266,11 +281,25 @@ class TestWarmStart:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
+        bounds = spy_exit_bounds(monkeypatch)
         it = fit_stack(controls[pick], start=(full.frame, pick)).frechet_iterations
-        assert it >= 1
-        # the cold fit's (distinct + 1) (it + 1) + it without the first
-        # iteration's decompositions of the mean and of each member
-        assert sum(counted) == (distinct + 2) * it
+        assert it == 2
+        assert bounds[-1][1] <= group.GRADIENT_TOLERANCE  # the certificate accepted
+        # each uncertified iteration decomposes the step, the mean and each
+        # member, (distinct + 2) (it - 1); the certified one only the step
+        # and the mean: distinct + 4 for two iterations
+        assert sum(counted) == (distinct + 2) * (it - 1) + 2
+
+    def test_first_step_restricts_the_control_fit_weights(self, monkeypatch):
+        controls, pick = warm_case(0)
+        full = fit_stack(controls)
+        present = np.unique(pick)
+        assert np.array_equal(full.frame.weights[present], _log_weights(full.frame.eigvals[present]))
+        computed = []
+        monkeypatch.setattr(group, "_log_weights", lambda e: computed.append(e) or _log_weights(e))
+        it = fit_stack(controls[pick], start=(full.frame, pick)).frechet_iterations
+        # one per decomposed frame: none for the restricted first one
+        assert len(computed) == it - 1
 
     def test_start_at_the_fixed_point_decomposes_nothing(self, monkeypatch):
         controls, _ = warm_case(3)
@@ -302,6 +331,124 @@ class TestWarmStart:
         assert np.linalg.norm(warm.mean - cold.mean) <= 1e-8 * np.linalg.norm(cold.mean)
         assert np.allclose(warm.residuals, cold.residuals, rtol=0, atol=1e-8)
         assert warm.frame is None
+
+
+def exact_exit_gradient(model, controls, pick) -> float:
+    """The gradient norm that the decomposed check computes at the mean of
+    a refit of ``controls[pick]``: one ``eigh`` of each drawn control
+    whitened by ``model.inv_root``, the logs gathered back into the draws."""
+    present, inverse = np.unique(pick, return_inverse=True)
+    logs = eig_apply(whiten(model.inv_root, controls[present]), np.log)
+    return float(np.linalg.norm(logs[inverse].mean(axis=0)))
+
+
+def resamples(seed, s_count, count):
+    """The first resamples of bootstrap iterations ``0 <= k < count``."""
+    return [inference._resample_row(seed, k, s_count, 0)[1] for k in range(count)]
+
+
+def certified_refits(monkeypatch, controls, picks) -> np.ndarray:
+    """``(bound, estimate, exact exit gradient)`` of each refit of
+    ``controls[pick]`` that ends on the exit certificate, started from the
+    fit of ``controls``."""
+    full = fit_stack(controls)
+    bounds = spy_exit_bounds(monkeypatch)
+    rows = []
+    for pick in picks:
+        bounds.clear()
+        model = fit_stack(controls[pick], start=(full.frame, pick))
+        if bounds and bounds[-1][1] <= group.GRADIENT_TOLERANCE:
+            estimate, bound = bounds[-1]
+            assert model.gradient_norm == estimate
+            rows.append((bound, estimate, exact_exit_gradient(model, controls, pick)))
+    return np.array(rows).reshape(-1, 3)
+
+
+@pytest.fixture(scope="module")
+def roc_controls():
+    """Controls of the roc_tangent workload's shape: n=33, S=20, sigma=0.1."""
+    cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+    return sample_population(cfg)[0]
+
+
+class TestExitCertificate:
+    """A warm refit may end on a bound of its exit gradient; the bound is
+    never below the gradient that decomposing the members would give."""
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"seed{c[0]}")
+    def test_bound_covers_the_exit_gradient_on_golden_inputs(self, case, monkeypatch):
+        cfg, controls, _ = case_inputs(*case)
+        got = certified_refits(monkeypatch, controls, resamples(case[0], len(controls), cfg.m))
+        assert len(got) == cfg.m
+        assert np.all(got[:, 0] >= got[:, 2])
+
+    def test_bound_covers_the_exit_gradient_at_benchmark_scale(self, roc_controls, monkeypatch):
+        got = certified_refits(monkeypatch, roc_controls, resamples(5, 20, 60))
+        assert len(got) >= 0.9 * 60
+        assert np.all(got[:, 0] >= got[:, 2])
+        # the estimate is the exact norm to within the remainder
+        assert np.all(np.abs(got[:, 1] - got[:, 2]) <= got[:, 0] - got[:, 1])
+
+    def test_bound_covers_the_exit_gradient_on_spread_inputs(self, monkeypatch):
+        # the unclustered families of TestFrechetMean; at condition 1e6 the
+        # slack, which grows with the members' condition number, refuses many
+        certified = 0
+        for n, s_count, cond in [(4, 5, 1e3), (5, 6, 1e3), (5, 3, 1e6), (4, 5, 1e6), (8, 10, 1e6)]:
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                controls = np.stack([random_spd(rng, n, cond) for _ in range(s_count)])
+                got = certified_refits(monkeypatch, controls, resamples(seed, s_count, 5))
+                assert np.all(got[:, 0] >= got[:, 2]), (n, s_count, cond, seed)
+                certified += len(got)
+        assert certified >= 250
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimate_with_repeated_and_near_eigenvalues(self, seed):
+        # equal, near (relative gaps 1e-9 and 1e-7, below _NEAR) and
+        # separated eigenvalues: each sum of second divided differences
+        # is of order |step|^2 = 1e-8, far above the remainder and slack
+        rng = np.random.default_rng(seed)
+        spectra = [[1, 1, 1, 2, 3], [0.5, 0.5 + 1e-9, 1, 1 + 1e-7, 2], [2] * 5, [0.3, 0.7, 1.1, 1.9, 2.6]]
+        rotations = [random_orthogonal(rng, 5) for _ in spectra]
+        members = np.stack([(q * np.array(e)) @ q.T for e, q in zip(spectra, rotations)])
+        eigvals, eigvecs, logs = eig_decompose(members, np.log)
+        identity = np.eye(5)
+        frame = group.TangentFrame(identity, identity, identity, members, eigvals, eigvecs, logs)
+        inverse = np.array([0, 1, 1, 2, 3, 3])
+        step = random_symmetric(rng, 5, scale=1e-4)
+        estimate, bound = group._exit_bound(frame, step, logs[inverse].mean(axis=0), inverse)
+        after = whiten(spd_expm(-0.5 * step), members)
+        exact = np.linalg.norm(eig_apply(after, np.log)[inverse].mean(axis=0))
+        assert abs(estimate - exact) <= bound - estimate <= 1e-9
+
+    def test_no_exit_after_the_last_iteration_allowed(self, monkeypatch):
+        # the decomposed check after the second step is never made, so a
+        # refit that needs two steps fails as the decomposed one would
+        controls, pick = warm_case(0)
+        full = fit_stack(controls)
+        monkeypatch.setattr(group, "MAX_ITERATIONS", 2)
+        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
+            fit_stack(controls[pick], start=(full.frame, pick))
+
+    def test_residuals_whiten_each_drawn_control_once(self, roc_controls):
+        full = fit_stack(roc_controls)
+        n = roc_controls.shape[-1]
+        for pick in resamples(7, 20, 50):
+            model = fit_stack(roc_controls[pick], start=(full.frame, pick))
+            every_row = vec_embed(whiten(model.inv_root, roc_controls[pick]) - np.eye(n))
+            assert np.array_equal(model.residuals, every_row)
+
+    def test_refusing_changes_no_refit(self, roc_controls, monkeypatch):
+        full = fit_stack(roc_controls)
+        picks = resamples(3, 20, 10)
+        certified = [fit_stack(roc_controls[pick], start=(full.frame, pick)) for pick in picks]
+        monkeypatch.setattr(group, "_exit_bound", lambda *args: (np.inf, np.inf))
+        for pick, model in zip(picks, certified):
+            decomposed = fit_stack(roc_controls[pick], start=(full.frame, pick))
+            assert np.array_equal(model.mean, decomposed.mean)
+            assert np.array_equal(model.inv_root, decomposed.inv_root)
+            assert np.array_equal(model.residuals, decomposed.residuals)
+            assert model.frechet_iterations == decomposed.frechet_iterations
 
 
 def deviation(mean, subject) -> np.ndarray:

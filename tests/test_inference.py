@@ -14,6 +14,7 @@ from spdconn import (
     correlation_matrix,
     empirical_pvalue,
     fit_from_matrices,
+    fit_group_model,
     log_likelihood,
     pair_count,
     sample_population,
@@ -29,7 +30,7 @@ from spdconn.inference import (
     score_subjects,
 )
 from golden import CASES, case_inputs
-from test_group import cold_frechet
+from test_group import cold_frechet, spy_exit_bounds
 
 
 @pytest.fixture(scope="module")
@@ -826,3 +827,92 @@ class TestScoreSubjects:
             assert scores.report(row, 0.1, subject_id="s") == expected
         with pytest.raises(InvalidInputError, match="alpha"):
             scores.report(0, 0.0)
+
+
+class TestCertifiedExits:
+    """The refits' exit certificate saves decompositions and changes no
+    null row, statistic, p-value or failure count."""
+
+    @staticmethod
+    def run_both(monkeypatch, run):
+        """``run()`` as it is and with every exit certificate refused, and
+        the number of exits certified in the first run."""
+        bounds = spy_exit_bounds(monkeypatch)
+        certified = run()
+        accepted = sum(bound <= group.GRADIENT_TOLERANCE for _, bound in bounds)
+        monkeypatch.setattr(group, "_exit_bound", lambda *args: (np.inf, np.inf))
+        return certified, run(), accepted
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"seed{c[0]}")
+    def test_refusing_every_exit_changes_nothing_on_golden_inputs(self, case, monkeypatch):
+        cfg, controls, patient = case_inputs(*case)
+        subjects = np.concatenate([patient[None], controls[:3]])
+
+        def run():
+            null = build_null(controls, cfg.m, case[0])
+            return null, score_subjects(controls, subjects, cfg.m, case[0])
+
+        (null, scores), (decomposed, decomposed_scores), accepted = self.run_both(monkeypatch, run)
+        assert accepted == 2 * cfg.m
+        assert np.array_equal(null.values, decomposed.values)
+        assert null.n_failures == decomposed.n_failures
+        assert_same_scores(scores, (decomposed_scores.t, decomposed_scores.p, decomposed_scores.n_failures))
+
+    def test_refusing_every_exit_changes_nothing_with_retries_across_a_chunk_boundary(
+        self, two_chunk_mats, monkeypatch
+    ):
+        m, seed, s_count = _DRAW_CHUNK + 10, 5, len(two_chunk_mats)
+        failed = [3, _DRAW_CHUNK - 1, _DRAW_CHUNK + 3]
+
+        def run():
+            failing_refits(monkeypatch, first_draws(s_count, seed, failed))
+            null = build_null(two_chunk_mats, m, seed)
+            failing_refits(monkeypatch, first_draws(s_count, seed, failed))
+            return null, score_subjects(two_chunk_mats, two_chunk_mats[:3], m, seed)
+
+        (null, scores), (decomposed, decomposed_scores), accepted = self.run_both(monkeypatch, run)
+        assert accepted >= m
+        assert null.n_failures == scores.n_failures == len(failed)
+        assert np.array_equal(null.values, decomposed.values)
+        assert null.n_failures == decomposed.n_failures
+        assert_same_scores(scores, (decomposed_scores.t, decomposed_scores.p, decomposed_scores.n_failures))
+
+    def test_cold_fits_never_consult_it(self, control_mats, monkeypatch):
+        def consulted(*args):
+            raise AssertionError("exit certificate consulted")
+
+        monkeypatch.setattr(group, "_exit_bound", consulted)
+        fit_from_matrices(control_mats)
+        fit_group_model(control_mats)
+        fits = []
+
+        def recording(stack, parametrization="tangent", region_names=None, start=None):
+            fits.append(start is None)
+            return fit_stack(stack, parametrization, region_names, start)
+
+        monkeypatch.setattr(inference, "fit_stack", recording)
+        with pytest.raises(AssertionError, match="exit certificate consulted"):
+            build_null(control_mats, m=5, seed=0)
+        assert fits == [True, False]  # the control fit ran through, the first refit consulted it
+
+    def test_decompositions_per_bootstrap_iteration(self, monkeypatch):
+        # a refit of roc_tangent's shape takes two Newton steps: it
+        # decomposes both steps, the mean it steps to first, each drawn
+        # control there, and the mean it ends at
+        cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+        controls, _ = sample_population(cfg)
+        m, seed = 12, 3
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            counted.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        fit_stack(controls)
+        control_fit = sum(counted)
+        counted.clear()
+        score_subjects(controls, controls[:2], m, seed)
+        distinct = sum(len(np.unique(pick)) for pick in _resample_range(seed, 0, m, 20)[1])
+        assert sum(counted) <= control_fit + distinct + 4 * m
