@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -66,14 +65,22 @@ def _warn_if_bonferroni_cannot_reject(n_pairs: int, m: int, alpha: float):
     floor = bonferroni_floor(n_pairs, m)
     if floor < alpha:  # a report's own test, p_corrected < alpha
         return
-    # m + 1 > P / alpha, found with the same floating-point test
-    reach = max(1, math.floor(n_pairs / alpha) - 2)
-    while bonferroni_floor(n_pairs, reach) >= alpha:
-        reach += 1
+    # the smallest m + 1 > P / alpha, found by bisection with the same
+    # floating-point test, which holds for every m above one that passes;
+    # m + 1.0 overflows beyond the largest float
+    low, high = 1, int(sys.float_info.max)
+    while low < high:
+        mid = (low + high) // 2
+        if bonferroni_floor(n_pairs, mid) < alpha:
+            high = mid
+        else:
+            low = mid + 1
+    reachable = bonferroni_floor(n_pairs, low) < alpha
+    advice = f"use --m {low} or more" if reachable else "no --m can reach it"
     print(
         f"warning: no pair can be significant: the smallest Bonferroni-corrected "
         f"p-value over {n_pairs} pairs with --m {m} is {floor:.6g}, not below "
-        f"alpha {alpha}; use --m {reach} or more",
+        f"alpha {alpha}; {advice}",
         file=sys.stderr,
     )
 

@@ -30,6 +30,7 @@ from spdconn import (
     vec_embed,
 )
 from spdconn import group
+from spdconn.inference import score_subjects
 from spdconn.simulate import cell_seed
 from helpers import random_invertible, random_orthogonal, random_spd, random_symmetric
 
@@ -339,4 +340,35 @@ def test_09_cli_determinism_and_io(tmp_path):
         ok,
         f"report rows {len(report_rows) - 1}, byte-identical reruns "
         f"{r1.read_bytes() == r2.read_bytes() and t1.read_bytes() == t2.read_bytes()}",
+    )
+
+
+# Measured on this test's seeds; see README, *Validity domain*.
+_FAMILY_WISE_NOTE = (
+    "the per-pair bootstrap null of S = 20 controls is too light in its far "
+    "tail: fresh controls fall at or below 0.05 / P several times as often as "
+    "nominal, and 58 of 500 (11.6%) got a corrected detection against at most "
+    "39.6 allowed"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=_FAMILY_WISE_NOTE)
+def test_10_corrected_family_wise_error():
+    # fresh subjects of the control model: a Bonferroni-corrected report
+    # should flag at most alpha = 5% of them, up to a one-sided binomial
+    # slack of 3 standard deviations: 25 + 3 sqrt(500 * 0.05 * 0.95) = 39.6
+    groups, fresh, alpha = 10, 50, 0.05
+    limit = groups * fresh * alpha + 3.0 * np.sqrt(groups * fresh * alpha * (1 - alpha))
+    flagged = 0
+    for g in range(groups):
+        cfg = SimConfig(n=15, n_controls=20, sigma=0.05, seed=1000 + g)
+        controls, _ = sample_population(cfg)
+        subjects, _ = sample_population(cfg, rng=np.random.default_rng(2000 + g), size=fresh)
+        scores = score_subjects(controls, subjects, 2100, 1000 + g, parametrization="flat")
+        flagged += sum(scores.report(k, alpha).n_significant(corrected=True) > 0 for k in range(fresh))
+    report(
+        10,
+        "family-wise error of corrected detections (flat, n=15, S=20)",
+        flagged <= limit,
+        f"{flagged}/{groups * fresh} fresh controls flagged, at most {limit:.1f} allowed",
     )

@@ -404,21 +404,33 @@ class TestExitCertificate:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_estimate_with_repeated_and_near_eigenvalues(self, seed):
-        # equal, near (relative gaps 1e-9 and 1e-7, below _NEAR) and
-        # separated eigenvalues: each sum of second divided differences
-        # is of order |step|^2 = 1e-8, far above the remainder and slack
+        # a member with equal or near eigenvalues (relative gaps 1e-9 and
+        # 1e-7, below _NEAR) refuses the certificate; separated ones, one
+        # pair at relative gap 2 _NEAR, give sums of second divided
+        # differences of order |step|^2 = 1e-8, far above the remainder
+        # and slack
         rng = np.random.default_rng(seed)
-        spectra = [[1, 1, 1, 2, 3], [0.5, 0.5 + 1e-9, 1, 1 + 1e-7, 2], [2] * 5, [0.3, 0.7, 1.1, 1.9, 2.6]]
-        rotations = [random_orthogonal(rng, 5) for _ in spectra]
-        members = np.stack([(q * np.array(e)) @ q.T for e, q in zip(spectra, rotations)])
-        eigvals, eigvecs, logs = eig_decompose(members, np.log)
-        identity = np.eye(5)
-        frame = group.TangentFrame(identity, identity, identity, members, eigvals, eigvecs, logs)
-        inverse = np.array([0, 1, 1, 2, 3, 3])
+        t = 2.0 * group._NEAR
+        separated = [
+            [0.3, 0.7, 1.1, 1.9, 2.6], [0.5, 1, (1 + t) / (1 - t), 2, 3], [0.4, 0.8, 1.3, 1.6, 2.2],
+        ]
+        near = [[1, 1, 1, 2, 3], [0.5, 0.5 + 1e-9, 1, 1 + 1e-7, 2], [2] * 5]
         step = random_symmetric(rng, 5, scale=1e-4)
-        estimate, bound = group._exit_bound(frame, step, logs[inverse].mean(axis=0), inverse)
-        after = whiten(spd_expm(-0.5 * step), members)
-        exact = np.linalg.norm(eig_apply(after, np.log)[inverse].mean(axis=0))
+        inverse = np.array([0, 1, 1, 2, 3, 3])
+        identity = np.eye(5)
+
+        def exit_bound(spectra):
+            rotations = [random_orthogonal(rng, 5) for _ in spectra]
+            members = np.stack([(q * np.array(e)) @ q.T for e, q in zip(spectra, rotations)])
+            eigvals, eigvecs, logs = eig_decompose(members, np.log)
+            frame = group.TangentFrame(identity, identity, identity, members, eigvals, eigvecs, logs)
+            estimate, bound = group._exit_bound(frame, step, logs[inverse].mean(axis=0), inverse)
+            after = whiten(spd_expm(-0.5 * step), members)
+            return estimate, bound, np.linalg.norm(eig_apply(after, np.log)[inverse].mean(axis=0))
+
+        for spectrum in near:
+            assert exit_bound([*separated, spectrum])[:2] == (np.inf, np.inf)
+        estimate, bound, exact = exit_bound([*separated, [0.6, 0.9, 1.2, 1.5, 3.0]])
         assert abs(estimate - exact) <= bound - estimate <= 1e-9
 
     def test_no_exit_after_the_last_iteration_allowed(self, monkeypatch):

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +482,33 @@ class TestCliTest:
             f"significant_corrected: {report.n_significant(corrected=True)}",
             f"significant_raw: {report.n_significant(corrected=False)}",
         ]
+
+    @pytest.mark.parametrize(
+        "alpha, advice",
+        [
+            ("1e-20", "use --m 1000000000000000196608 or more"),
+            ("1e-30", "use --m 10000000000000000198846248386561 or more"),
+            ("5e-324", "no --m can reach it"),
+        ],
+    )
+    def test_warning_ends_at_any_alpha(self, demo, tmp_path, alpha, advice):
+        # P / alpha is beyond 2**53, where m + 1.0 stops growing by 1, and
+        # beyond the largest float; a subprocess with a timeout makes a
+        # search that never ends fail instead of hanging the suite
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        args = [
+            "test", "--controls", *demo["controls"], "--patient", demo["patient"],
+            "--m", "5", "--alpha", alpha, "--out", str(tmp_path / "r.csv"),
+        ]
+        result = subprocess.run(
+            [sys.executable, "-m", "spdconn.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("warning: no pair can be significant") and line.endswith(advice)
 
     def test_flat_parametrization_runs(self, demo, tmp_path):
         out = tmp_path / "r.csv"
