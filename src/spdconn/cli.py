@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .estimators import residualize_confounds
+from .estimators import as_correlation_matrices, residualize_confounds
 from .exceptions import (
     ConfigurationError,
     InvalidInputError,
@@ -89,17 +89,17 @@ def cmd_test(args) -> int:
     check_alpha(args.alpha)
     check_integer("--m", args.m, 1)
     check_integer("seed", args.seed, 0)
-    controls = _load_series(args.controls)
-    # refuse a mis-paired patient before the warning and the bootstrap
-    patient = subject_stack(
-        [sio.read_time_series(args.patient)], controls[0].n, controls[0].region_names
-    )
-    _warn_if_bonferroni_cannot_reject(pair_count(controls[0].n), args.m, args.alpha)
+    # estimate the controls and pair the patient before the warning and the bootstrap
+    controls, names = as_correlation_matrices(_load_series(args.controls))
+    n = controls.shape[-1]
+    patient = subject_stack([sio.read_time_series(args.patient)], n, names)
+    _warn_if_bonferroni_cannot_reject(pair_count(n), args.m, args.alpha)
     scores = score_subjects(
         controls, patient, args.m, args.seed, parametrization=args.parametrization
     )
     subject_id = os.path.splitext(os.path.basename(args.patient))[0]
     report = scores.report(0, args.alpha, subject_id=subject_id)
+    report = dataclasses.replace(report, region_names=names)
     sio.write_report(args.out, report, m=args.m, seed=args.seed)
     print(f"pairs_tested: {len(report.pairs)}")
     print(f"significant_corrected: {report.n_significant(corrected=True)}")

@@ -6,9 +6,9 @@ resampled surrogate population, projects everybody into the surrogate
 residual frame, and records the left-out subject's statistic for every
 region pair.  One loop fills the null a chunk of iterations at a time, in
 both parametrizations: the flat refit is an arithmetic mean, so its
-statistic comes from the first two moments of the resampled controls'
-coordinates; the tangent refit is a Fréchet fit per iteration, started
-from the mean of the whole control group, which is fitted first.  Row ``k``
+statistic is taken against the resampled controls' coordinates without a
+fit; the tangent refit is a Fréchet fit per iteration, started from the
+mean of the whole control group, which is fitted first.  Row ``k``
 depends only on the seed and ``k``: iteration ``k`` draws from the
 package's own stream of ``[seed, k]``, computed for the chunk at once by
 hashing the seeds, stepping PCG64 and bounding its outputs, vectorized over
@@ -56,6 +56,14 @@ from .geometry import pair_count, tril_pairs
 SD_FLOOR = 1e-12
 
 
+def _sum_in_order(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding the rows one after another."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def t_statistic(controls, patient_value):
     """One-sample prediction-style statistic of patient values against
     control values.
@@ -68,8 +76,20 @@ def t_statistic(controls, patient_value):
     c = np.asarray(controls, dtype=np.float64)
     if c.ndim not in (1, 2) or c.shape[0] < 2:
         raise InvalidInputError("need at least 2 control values")
-    sd = np.maximum(c.std(axis=0, ddof=1), SD_FLOOR)
-    return (patient_value - c.mean(axis=0)) / (sd * math.sqrt(1.0 + 1.0 / c.shape[0]))
+    return _t_rows(c, patient_value, np.empty_like(c))
+
+
+def _t_rows(controls, value, scratch):
+    """``t_statistic`` of ``value`` against ``controls``, summed over the
+    first axis by ``_sum_in_order``, so its bits do not depend on the
+    memory layout; the squared deviations are written into ``scratch``,
+    which may be ``controls`` itself."""
+    s_count = controls.shape[0]
+    mu = _sum_in_order(controls) / s_count
+    np.subtract(controls, mu, out=scratch)
+    scratch *= scratch
+    sd = np.sqrt(_sum_in_order(scratch) / (s_count - 1))
+    return (value - mu) / (np.maximum(sd, SD_FLOOR) * math.sqrt(1.0 + 1.0 / s_count))
 
 
 # Null columns per block of ``_count_below``: its one temporary that grows
@@ -425,20 +445,10 @@ def _resample_row(seed: int, k: int, s_count: int, attempt: int):
     return next(itertools.islice(_resamples(seed, k, s_count), attempt, None))
 
 
-def _sum_in_order(rows: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, adding the rows one after another."""
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
-
-
 def _refit_row(model: GroupModel, mats, left: int, pick) -> np.ndarray:
     """A tangent null row: the left-out control's statistic against the
     fit of the resample ``mats[pick]``, started from ``model``'s frame."""
-    refit = fit_stack(mats[pick], start=(model.frame, pick))
-    n_pairs = pair_count(model.n)
-    return t_statistic(refit.residuals[:, :n_pairs], refit.project(mats[left])[:n_pairs])
+    return _statistics(fit_stack(mats[pick], start=(model.frame, pick)), mats[left])
 
 
 def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: int) -> int:
@@ -446,33 +456,22 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
     into ``out``, a view of the null, from one ``_resample_range`` call;
     returns the number of failed fits.
 
-    A flat surrogate's residuals are its drawn rows of the controls' ``resid``
-    minus their mean ``mu``, so row ``k`` is
-    ``(resid[left] - mu) / (max(sd, SD_FLOOR) sqrt(1 + 1/S))`` with ``sd``
-    the standard deviation of the drawn rows: the ``t_statistic`` of the
-    refit in exact arithmetic.  The deviations are summed after ``mu``, as
-    ``std`` does, so a resample of one repeated control keeps its floored
-    ``sd``.  Sums add the drawn rows in draw order, elementwise, so a row
-    does not depend on the block it is computed in (a matrix product would
-    not promise that).  A flat row cannot fail.  A tangent row is
-    ``_refit_row``'s; a failed fit is retried with the next resample of
-    ``_resamples``, one stream per retried ``k``, and failing ``retry_cap``
-    times in a row raises, naming ``k``.
+    A flat surrogate's residuals are its drawn rows of the controls'
+    ``resid`` minus their mean, so row ``k`` is the statistic of
+    ``resid[left]`` against its drawn rows, computed in their gathered
+    block; ``_t_rows`` sums row by row, so a row does not depend on its
+    block.  A flat row cannot fail.  A tangent row is ``_refit_row``'s; a
+    failed fit is retried with the next resample of ``_resamples``, one
+    stream per retried ``k``, and failing ``retry_cap`` times in a row
+    raises, naming ``k``.
     """
     s_count, n_pairs = mats.shape[0], out.shape[1]
     lefts, picks = _resample_range(seed, start, start + len(out), s_count)
     if model.parametrization == FLAT:
         resid = model.residuals[:, :n_pairs]
-        scale = math.sqrt(1.0 + 1.0 / s_count)
         for b in range(0, len(out), _FLAT_BLOCK):
             drawn = resid[picks[b:b + _FLAT_BLOCK].T]  # (S, block, P)
-            mu = _sum_in_order(drawn) / s_count
-            drawn -= mu
-            drawn *= drawn
-            sd = np.sqrt(_sum_in_order(drawn) / (s_count - 1))
-            out[b:b + _FLAT_BLOCK] = (
-                (resid[lefts[b:b + _FLAT_BLOCK]] - mu) / (np.maximum(sd, SD_FLOOR) * scale)
-            )
+            out[b:b + _FLAT_BLOCK] = _t_rows(drawn, resid[lefts[b:b + _FLAT_BLOCK]], drawn)
         return 0
     n_failures = 0
     for row, first in enumerate(zip(lefts, picks)):
@@ -545,7 +544,7 @@ def build_null(
     operator from the control group's last Fréchet iteration, and the fit
     converges to the surrogate's own mean within the gradient tolerance.
     A flat surrogate fit is an arithmetic mean, which cannot fail, so the
-    flat null is computed from the moments of each resample without a fit
+    flat null is computed from each resample's coordinates without a fit
     per iteration; its rows equal the per-iteration refits' statistics up
     to rounding.  One loop fills both nulls in place, ``_null_chunk`` by
     ``_null_chunk``; the retry cap and the 10% abort count over the run.
@@ -594,10 +593,10 @@ def build_null(
 
 
 def _statistics(model: GroupModel, mats) -> np.ndarray:
-    """Per-pair statistics of a validated ``(k, n, n)`` stack against the
-    control residuals stored on ``model``."""
+    """Per-pair statistics of a validated ``(k, n, n)`` stack, or of one
+    ``(n, n)`` matrix, against the control residuals stored on ``model``."""
     n_pairs = pair_count(model.n)
-    return t_statistic(model.residuals[:, :n_pairs], model.project(mats)[:, :n_pairs])
+    return t_statistic(model.residuals[:, :n_pairs], model.project(mats)[..., :n_pairs])
 
 
 def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:

@@ -372,3 +372,34 @@ def test_10_corrected_family_wise_error():
         flagged <= limit,
         f"{flagged}/{groups * fresh} fresh controls flagged, at most {limit:.1f} allowed",
     )
+
+
+def test_11_corrected_detections():
+    # patients of test 10's size carry d_sigma = 0.3 on 10 pairs each.  At
+    # these seeds 95 of the 100 injected pairs were detected after
+    # Bonferroni correction, with 6 detections elsewhere; every patient had 8
+    # or more.  The bounds leave room for the 2.4-4.2-fold excess of small
+    # null p-values that test 10 records.
+    from spdconn import simulate_patients
+
+    alpha = 0.05
+    cfg = SimConfig(
+        n=15, n_controls=20, sigma=0.05, d_sigma=0.3, k_diffs=10, m=2100,
+        n_patients=10, parametrization="flat", seed=3000,
+    )
+    controls, _ = sample_population(cfg)
+    patients, labels, _ = simulate_patients(cfg, np.random.default_rng(3001))
+    scores = score_subjects(controls, patients, cfg.m, 3000, parametrization="flat")
+    detected = np.array([
+        [pair.p_corrected < alpha for pair in scores.report(k, alpha).pairs]
+        for k in range(cfg.n_patients)
+    ])
+    hits, misplaced = int((detected & labels).sum()), int((detected & ~labels).sum())
+    ok = detected.any(axis=1).all() and hits >= 80 and hits >= 4 * misplaced
+    report(
+        11,
+        "corrected detections of injected differences (flat, n=15, S=20)",
+        ok,
+        f"{hits}/{int(labels.sum())} injected pairs detected, {misplaced} elsewhere, "
+        f"fewest per patient {int(detected.sum(axis=1).min())}",
+    )

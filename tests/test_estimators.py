@@ -89,6 +89,13 @@ class TestResidualize:
         out = residualize_confounds(x, c)
         assert np.max(np.abs(c.T @ out.values)) <= 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_confounds(self, rng, bad):
+        c = rng.standard_normal((30, 2))
+        c[4, 1] = bad
+        with pytest.raises(InvalidInputError, match="^confounds contain non-finite values$"):
+            residualize_confounds(TimeSeries(rng.standard_normal((30, 2))), c)
+
     def test_length_mismatch(self, rng):
         with pytest.raises(InvalidInputError):
             residualize_confounds(
@@ -180,6 +187,12 @@ class TestPipeline:
         out = correlation_matrix(ts, c)
         assert np.array_equal(np.diag(out), np.ones(6))
         assert np.linalg.eigvalsh(out).min() > 0
+
+    def test_refuses_inconsistent_region_names(self, rng):
+        values = rng.standard_normal((50, 3))
+        subjects = [TimeSeries(values, ("a", "b", "c")), TimeSeries(values, ("a", "c", "b"))]
+        with pytest.raises(InvalidInputError, match="^subjects have inconsistent region names$"):
+            estimators.as_correlation_matrices(subjects)
 
     def test_estimated_matrices_are_validated(self, rng, monkeypatch):
         ts = TimeSeries(rng.standard_normal((50, 3)))

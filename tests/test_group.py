@@ -488,6 +488,17 @@ class TestResidual:
 
 
 class TestFitGroupModel:
+    @pytest.mark.parametrize("call", [
+        lambda: group.check_parametrization("curved"),
+        lambda: fit_from_matrices(np.stack([np.eye(3)] * 3), parametrization="curved"),
+        lambda: inference.build_null(np.stack([np.eye(3)] * 3), m=5, parametrization="curved"),
+        lambda: SimConfig(n=5, n_controls=5, k_diffs=2, parametrization="curved"),
+    ], ids=["check", "fit", "build_null", "SimConfig"])
+    def test_refuses_an_unknown_parametrization(self, call):
+        message = r"^unknown parametrization 'curved'; expected one of \('tangent', 'flat'\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+
     def test_identical_subjects(self, rng):
         vals = rng.standard_normal((60, 4))
         series = [TimeSeries(vals.copy()) for _ in range(5)]

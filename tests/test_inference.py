@@ -78,6 +78,15 @@ class TestTStatistic:
         with pytest.raises(InvalidInputError):
             t_statistic([1.0], 0.0)
 
+    def test_same_bits_for_any_layout(self, rng):
+        # the sums run row by row, so a Fortran-ordered copy of the controls,
+        # as vec_embed returns residuals, gives the same statistic
+        controls = rng.standard_normal((20, 528))
+        patient = rng.standard_normal(528)
+        assert np.array_equal(
+            t_statistic(controls, patient), t_statistic(np.asfortranarray(controls), patient)
+        )
+
     def test_columns_match_single_column_calls(self, rng):
         controls = rng.standard_normal((12, 7))
         patient = rng.standard_normal(7)
@@ -199,6 +208,13 @@ class TestBuildNull:
         values[5, -1] = bad
         with pytest.raises(InvalidInputError, match="null distribution contains non-finite"):
             replace(null, values=values)
+
+    @pytest.mark.parametrize("shape", [(6, 27), (6, 29), (28,), (1, 6, 28)])
+    def test_null_distribution_refuses_values_of_the_wrong_shape(self, control_mats, shape):
+        model = fit_from_matrices(control_mats, parametrization="flat")
+        with pytest.raises(InvalidInputError) as err:
+            inference.NullDistribution(model, np.zeros(shape))
+        assert str(err.value) == f"null values have shape {shape}, expected (m, 28)"
 
     def test_needs_three_controls(self, control_mats):
         with pytest.raises(InvalidInputError):

@@ -108,6 +108,16 @@ class TestTimeSeriesIO:
             sio.read_time_series(path)
         assert "bad.csv" in str(err.value) and "row 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text", ["", "a,b\n", "a,b\n\n1.0,2.0\n\n"], ids=["empty", "header", "one-row"]
+    )
+    def test_needs_a_header_and_two_time_points(self, tmp_path, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as err:
+            sio.read_time_series(path)
+        assert str(err.value) == f"{path}: need a header row and at least 2 time points"
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,oops\n2.0,3.0\n")
@@ -264,6 +274,15 @@ class TestModelIO:
     def test_rejects_a_sigma_star_that_is_not_numbers(self, tmp_path, rng, capsys, sigma_star):
         self.assert_refused(tmp_path, rng, capsys, write_model_doc(tmp_path, sigma_star=sigma_star))
 
+    @pytest.mark.parametrize("sigma_star", [[1.0, 0.3, 1.0], [1.0] * 9], ids=["short", "long"])
+    def test_rejects_a_sigma_star_of_the_wrong_size(self, tmp_path, rng, capsys, sigma_star):
+        path = write_model_doc(tmp_path, sigma_star=sigma_star)
+        message = f"{path}: sigma_star has {len(sigma_star)} values, expected 4"
+        with pytest.raises(InvalidInputError) as err:
+            sio.read_model(path)
+        assert str(err.value) == message
+        self.assert_refused(tmp_path, rng, capsys, path)
+
     def test_accepts_integer_entries_in_sigma_star(self, tmp_path):
         model = sio.read_model(write_model_doc(tmp_path, sigma_star=[[2, 0], [0, 1]], sigma=1))
         assert model.mean.dtype == np.float64 and model.mean.tolist() == [[2.0, 0.0], [0.0, 1.0]]
@@ -339,6 +358,14 @@ class TestCliFit:
         )
         assert code == 0
 
+    def test_confounds_must_match_the_controls(self, demo, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        controls, confounds = demo["controls"], demo["controls"][:2]
+        code = main(["fit", "--controls", *controls, "--confounds", *confounds, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: 2 confound files for {len(controls)} subjects\n"
+        assert not out.exists()
+
 
 class TestCliTest:
     def test_report_and_determinism(self, demo, tmp_path, capsys):
@@ -395,6 +422,28 @@ class TestCliTest:
             assert main(args + ["--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("case", ["constant", "renamed"])
+    def test_a_refused_control_fails_before_the_warning(self, demo, tmp_path, capsys, case):
+        from spdconn import TimeSeries
+
+        ts = sio.read_time_series(demo["controls"][0])
+        bad = str(tmp_path / "bad.csv")
+        if case == "constant":
+            write_series_csv(bad, TimeSeries(np.ones_like(ts.values), ts.region_names))
+            message = "error: all-constant input: covariance has zero trace"
+        else:
+            write_series_csv(bad, TimeSeries(ts.values, ts.region_names[::-1]))
+            message = "error: subjects have inconsistent region names"
+        out = tmp_path / "r.csv"
+        # --m 5 warns on controls that can be estimated
+        args = [
+            "test", "--controls", *demo["controls"], bad, "--patient", demo["patient"],
+            "--m", "5", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
 
     def test_refuses_one_region(self, tmp_path, rng, capsys):
         from spdconn import TimeSeries
@@ -595,6 +644,22 @@ class TestCliLikelihood:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--loo"], "--loo requires --controls"),
+            ([], "either --model or --loo is required"),
+            (["--model", "m.json"], "no subject files given"),
+        ],
+        ids=["loo-without-controls", "no-mode", "no-subjects"],
+    )
+    def test_refuses_incomplete_arguments(self, demo, capsys, argv, message):
+        subjects = [] if "--model" in argv else [demo["patient"]]
+        assert main(["likelihood", *subjects, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_missing_model_fails(self, demo, capsys):
         code = main(["likelihood", "--model", "/nonexistent/m.json", demo["patient"]])
         assert code != 0
@@ -629,6 +694,25 @@ class TestCliSimulate:
         out = tmp_path / "table.csv"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_config_sigma_star_is_the_group_matrix(self, tmp_path):
+        # the default matrix written out reproduces the table; another one
+        # changes the draws
+        from spdconn import default_group_correlation
+
+        cfg = {
+            "n": 6, "n_controls": 8, "sigma": 0.1, "d_sigma": [0.3],
+            "k_diffs": 3, "m": 10, "seed": 1, "n_patients": 2,
+        }
+        tables = []
+        for sigma_star in (None, default_group_correlation(6).tolist(), np.eye(6).tolist()):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({**cfg, "sigma_star": sigma_star}))
+            out = tmp_path / f"table{len(tables)}.csv"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[1] == tables[0]
+        assert tables[2] != tables[0]
 
     @pytest.mark.parametrize("source, seed", [("flag", -1), ("config", -1), ("config", 2.7), ("config", True)])
     def test_bad_seed_fails(self, tmp_path, capsys, source, seed):

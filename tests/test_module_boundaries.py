@@ -1,10 +1,10 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
 generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
-each bootstrap stream once, runs one bootstrap loop with one abort, subjects
-are paired with the controls in one place, every function the benchmark's
-tracer relies on stays a public function, and the public API is the listed
-one."""
+each bootstrap stream once, runs one bootstrap loop with one abort, computes
+the statistic in one function, subjects are paired with the controls in one
+place, every function the benchmark's tracer relies on stays a public
+function, and the public API is the listed one."""
 
 import ast
 import importlib.util
@@ -222,6 +222,38 @@ def test_one_subject_check_in_the_package():
 
     assert modules("differ from the controls'") == ["group.py"]
     assert set(modules("subjects have shape")) == {"group.py"}
+
+
+def name_readers(source: str, name: str) -> list[str]:
+    """The top-level definitions of ``source`` that read the bare name
+    ``name``, in order; a read outside any definition is ``<module>``."""
+    return [node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.parse(source).body
+            if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(node))]
+
+
+def test_guard_finds_name_readers():
+    source = (
+        "LIMIT = 1\n"
+        "def f(x):\n"
+        "    return max(x, LIMIT)\n"
+        "def g(x):\n"
+        "    LIMIT = 2\n"
+        "    return x\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        return lambda: LIMIT\n"
+        "print(LIMIT)\n"
+    )
+    assert name_readers(source, "LIMIT") == ["f", "C", "<module>"]
+
+
+def test_one_statistic_in_inference():
+    # subjects, tangent rows and flat rows all take the statistic from
+    # _t_rows; a second function that floors the spread would be a second
+    # copy of it, free to sum in another order
+    assert name_readers((PACKAGE / "inference.py").read_text(), "SD_FLOOR") == ["_t_rows"]
 
 
 def test_traced_names_are_public_functions():
