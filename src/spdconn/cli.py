@@ -48,7 +48,13 @@ def _load_series(paths, confound_paths=None):
     return series
 
 
+def _check_out(path):
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise InvalidInputError(f"--out {path}: its directory does not exist")
+
+
 def cmd_fit(args) -> int:
+    _check_out(args.out)
     series = _load_series(args.controls, args.confounds)
     model = fit_group_model(series)
     sio.write_model(args.out, model)
@@ -89,6 +95,7 @@ def cmd_test(args) -> int:
     check_alpha(args.alpha)
     check_integer("--m", args.m, 1)
     check_integer("seed", args.seed, 0)
+    _check_out(args.out)
     # estimate the controls and pair the patient before the warning and the bootstrap
     controls, names = as_correlation_matrices(_load_series(args.controls))
     n = controls.shape[-1]
@@ -180,6 +187,7 @@ def cmd_simulate(args) -> int:
     parametrizations = [TANGENT, FLAT] if requested == "both" else [requested]
     seed = base.pop("seed", 0)
     check_integer("seed", seed, 0)
+    _check_out(args.out)
     rows = []
     cell = 0
     for parametrization in parametrizations:

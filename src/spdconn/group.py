@@ -444,11 +444,7 @@ def fit_stack(
     else:
         fit = symmetrize(stack.mean(axis=0)), None, 0, 0.0, None
     mean, inv_root, iterations, gradient_norm, frame = fit
-    if start is None:
-        vecs = vec_embed(_deviations(mean, inv_root, stack))
-    else:  # each drawn row is whitened once
-        _, first, inverse = np.unique(start[1], return_index=True, return_inverse=True)
-        vecs = vec_embed(_deviations(mean, inv_root, stack[first])[inverse])
+    vecs = vec_embed(_deviations(mean, inv_root, stack))
     model = GroupModel(
         mean=mean,
         sigma=float(np.sqrt(np.mean(vecs**2))),

@@ -99,8 +99,11 @@ _PVALUE_BLOCK = 8
 
 
 def _abs_statistic(t, shape):
-    """``|t|`` broadcast to ``shape``; a NaN raises ``InvalidInputError``."""
-    t = np.abs(np.broadcast_to(t, shape))
+    """``|t|`` broadcast to ``shape``; a NaN or another shape raises ``InvalidInputError``."""
+    try:
+        t = np.abs(np.broadcast_to(t, shape))
+    except ValueError:
+        raise InvalidInputError(f"statistic of shape {np.shape(t)} does not fit {shape}") from None
     if np.isnan(t).any():
         raise InvalidInputError("statistic is NaN")
     return t
@@ -147,7 +150,8 @@ def empirical_pvalue(t, null_values):
     null = np.asarray(null_values, dtype=np.float64)
     if null.size == 0:
         raise InvalidInputError("empty null sample")
-    t = _abs_statistic(t, np.broadcast_shapes(np.shape(t), null.shape[1:]))
+    row = null.shape[1:]
+    t = _abs_statistic(t, np.shape(t)[:np.ndim(t) - len(row)] + row)
     one_column = null.ndim == 1
     if one_column:
         null, t = null[:, None], t[..., None]
@@ -250,6 +254,9 @@ class SubjectScores:
     def report(self, row: int = 0, alpha: float = 0.05, *, subject_id: str = "patient") -> TestReport:
         """The pair tests of subject ``row``, its raw p-values
         Bonferroni-corrected over the pairs."""
+        check_integer("row", row, 0)
+        if row >= len(self.t):
+            raise InvalidInputError(f"row must be below {len(self.t)}, got {row}")
         check_alpha(alpha)
         model = self.model
         t_row, p_raw = self.t[row], self.p[row]
@@ -599,18 +606,6 @@ def _statistics(model: GroupModel, mats) -> np.ndarray:
     return t_statistic(model.residuals[:, :n_pairs], model.project(mats)[..., :n_pairs])
 
 
-def score(null: NullDistribution, mats) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair statistics and raw p-values of subjects against the controls.
-
-    ``mats`` is an already validated ``(k, n, n)`` stack; its residuals under
-    ``null.model`` are compared with the control residuals stored on the
-    model, then all rows of statistics with the null at once.  Returns
-    ``t`` and ``p``, both ``(k, n (n - 1) / 2)`` in canonical pair order.
-    """
-    t = _statistics(null.model, mats)
-    return t, empirical_pvalue(t, null.values)
-
-
 def score_subjects(
     controls,
     subjects,
@@ -622,19 +617,19 @@ def score_subjects(
     """Score subjects against the controls' bootstrap null without storing
     the null.
 
-    The result equals ``score(build_null(controls, m, seed, ...),
-    subjects)`` with that null's model and ``n_failures``: the arguments,
-    the control fit, the null rows, the retries and the 10% abort are
-    ``build_null``'s.  ``subjects`` are taken as ``build_null`` takes the
-    controls, `TimeSeries` or SPD arrays, and checked against the controls'
-    dimension and region names by ``group.subject_stack`` before the
-    controls are fitted.  Their statistics come before the bootstrap, and
-    a NaN among them raises ``InvalidInputError`` there.  Each chunk of
-    null rows is then written into one reused ``(min(m, _DRAW_CHUNK), P)``
-    buffer, and its exceedances are added into a ``(k, P)`` integer count,
-    so memory is ``O(k P + chunk P)`` however large ``m`` is.  A
-    non-finite null row raises ``InvalidInputError`` as
-    ``empirical_pvalue`` does.
+    Its ``t`` and ``p`` are ``empirical_pvalue``'s for the subjects'
+    statistics against ``build_null(controls, m, seed, ...)``; the
+    arguments, the control fit (the model), the null rows, the retries
+    (``n_failures``) and the 10% abort are ``build_null``'s.  ``subjects``
+    are taken as ``build_null`` takes the controls, `TimeSeries` or SPD
+    arrays, and checked against the controls' dimension and region names
+    by ``group.subject_stack`` before the controls are fitted.  Their
+    statistics come before the bootstrap, and a NaN among them raises
+    ``InvalidInputError`` there.  Each chunk of null rows is then written
+    into one reused ``(min(m, _DRAW_CHUNK), P)`` buffer, and its
+    exceedances are added into a ``(k, P)`` integer count, so memory is
+    ``O(k P + chunk P)`` however large ``m`` is.  A non-finite null row
+    raises ``InvalidInputError`` as ``empirical_pvalue`` does.
     """
     mats, names = _control_stack(controls, m, seed, parametrization)
     subjects = subject_stack(subjects, mats.shape[-1], names)
@@ -689,8 +684,8 @@ def test_patient(
     ``bonferroni_floor``).
     """
     model = null.model
-    patient_mats = subject_stack([patient], model.n, model.region_names)
-    scores = SubjectScores(model, *score(null, patient_mats), null.n_failures)
+    t = _statistics(model, subject_stack([patient], model.n, model.region_names))
+    scores = SubjectScores(model, t, empirical_pvalue(t, null.values), null.n_failures)
     return scores.report(0, alpha, subject_id=subject_id)
 
 

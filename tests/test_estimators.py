@@ -47,6 +47,11 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError):
             TimeSeries(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_rejects_an_array_that_is_not_2d(self, shape):
+        with pytest.raises(InvalidInputError, match=r"time series must be 2-d, got shape \("):
+            TimeSeries(np.zeros(shape))
+
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             TimeSeries(np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -96,11 +101,26 @@ class TestResidualize:
         with pytest.raises(InvalidInputError, match="^confounds contain non-finite values$"):
             residualize_confounds(TimeSeries(rng.standard_normal((30, 2))), c)
 
+    def test_plain_array_and_1d_confounds(self, rng):
+        values, confound = rng.standard_normal((30, 2)), rng.standard_normal(30)
+        expected = residualize_confounds(TimeSeries(values), confound[:, None])
+        for x, c in ((values, confound[:, None]), (TimeSeries(values), confound)):
+            out = residualize_confounds(x, c)
+            assert np.array_equal(out.values, expected.values)
+            assert out.region_names == expected.region_names
+
     def test_length_mismatch(self, rng):
         with pytest.raises(InvalidInputError):
             residualize_confounds(
                 TimeSeries(rng.standard_normal((30, 2))), np.ones((29, 1))
             )
+
+
+@pytest.mark.parametrize("estimator", [sample_covariance, ledoit_wolf])
+@pytest.mark.parametrize("shape", [(5,), (1, 3), (2, 3, 4)])
+def test_estimators_refuse_what_is_not_t_by_n(estimator, shape):
+    with pytest.raises(InvalidInputError, match=r"need a \(t, n\) array with t >= 2"):
+        estimator(np.ones(shape))
 
 
 class TestSampleCovariance:

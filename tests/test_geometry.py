@@ -183,6 +183,8 @@ class TestTangentMaps:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(InvalidInputError):
             tangent_map(random_spd(rng, 3), random_spd(rng, 4))
+        with pytest.raises(InvalidInputError, match=r"dimension mismatch: base \(3, 3\) vs tangent \(2, 2\)"):
+            tangent_inverse_map(random_spd(rng, 3), np.zeros((2, 2)))
 
 
 class TestGeodesicDistance:
@@ -242,6 +244,11 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="non-empty"):
             frechet_mean([np.zeros((0, 0))] * 2)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+    def test_stack_items_must_be_matrices(self, shape):
+        with pytest.raises(InvalidInputError, match=r"expected \(n, n\) matrices, got shape"):
+            frechet_mean([np.ones(shape)] * 2)
+
 
 class TestClip:
     def test_clip_keeps_cone_members(self):
@@ -255,6 +262,11 @@ class TestClip:
         assert clipped is True
         np.testing.assert_allclose(out, np.diag([1.0, 2.0 * SPD_EIG_FLOOR]), atol=1e-15)
         validate_spd(out)
+
+    @pytest.mark.parametrize("m", [-np.eye(3), np.zeros((2, 2)), np.stack([np.eye(2), -np.eye(2)])])
+    def test_clip_refuses_a_matrix_without_a_positive_eigenvalue(self, m):
+        with pytest.raises(NearSingularError, match="no positive eigenvalues"):
+            clip_spd(m)
 
     def test_clip_floor_is_per_matrix(self):
         stack = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([1e-6, -1e-6, 1e-12])])

@@ -433,6 +433,29 @@ class TestExitCertificate:
         estimate, bound, exact = exit_bound([*separated, [0.6, 0.9, 1.2, 1.5, 3.0]])
         assert abs(estimate - exact) <= bound - estimate <= 1e-9
 
+    def test_a_step_that_could_leave_the_cone_gets_no_bound(self):
+        # one member of condition 1e5 among 19 near the mean keeps the
+        # slack small, and a step along its extreme eigenvectors perturbs
+        # it by beta >= 1 relative to its smallest eigenvalue
+        rng = np.random.default_rng(0)
+        spectra = [np.linspace(0.8, 1.2, 5)] * 19 + [np.geomspace(10**-2.5, 10**2.5, 5)]
+        rotations = [random_orthogonal(rng, 5) for _ in spectra]
+        members = np.stack([(q * e) @ q.T for e, q in zip(spectra, rotations)])
+        eigvals, eigvecs, logs = eig_decompose(members, np.log)
+        identity = np.eye(5)
+        frame = group.TangentFrame(identity, identity, identity, members, eigvals, eigvecs, logs)
+        low, high = eigvecs[-1][:, 0], eigvecs[-1][:, -1]
+        direction = np.outer(low, high) + np.outer(high, low)
+        inverse = np.arange(20)
+
+        def exit_bound(half_norm):  # of |step / 2|
+            step = direction * (2 * half_norm / np.linalg.norm(direction))
+            return group._exit_bound(frame, step, logs.mean(axis=0), inverse)
+
+        estimate, bound = exit_bound(5e-3)
+        assert np.isfinite(estimate) and bound == np.inf
+        assert np.isfinite(exit_bound(1e-4)[1])
+
     def test_no_exit_after_the_last_iteration_allowed(self, monkeypatch):
         # the decomposed check after the second step is never made, so a
         # refit that needs two steps fails as the decomposed one would
@@ -442,7 +465,7 @@ class TestExitCertificate:
         with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
             fit_stack(controls[pick], start=(full.frame, pick))
 
-    def test_residuals_whiten_each_drawn_control_once(self, roc_controls):
+    def test_residuals_whiten_every_drawn_row(self, roc_controls):
         full = fit_stack(roc_controls)
         n = roc_controls.shape[-1]
         for pick in resamples(7, 20, 50):
@@ -664,6 +687,11 @@ class TestLeaveOneOut:
         scores, _ = leave_one_out_scores(mats)
         model_wo_0 = fit_from_matrices(mats[1:])
         assert np.isclose(scores[0], log_likelihood(model_wo_0, mats[0]))
+
+    def test_needs_three_subjects(self, rng):
+        mats = [random_spd(rng, 3) * 0.4 + 0.6 * np.eye(3) for _ in range(2)]
+        with pytest.raises(InvalidInputError, match="leave-one-out needs at least 3 subjects"):
+            leave_one_out_scores(mats)
 
     def test_other_subjects_averaged(self, rng):
         mats = [random_spd(rng, 3) * 0.4 + 0.6 * np.eye(3) for _ in range(4)]

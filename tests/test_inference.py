@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
     _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _null_chunk, _refit_row, _resample_range,
-    _resample_row, _resamples, _row_values, _streams, bonferroni_floor, check_alpha, score,
+    _resample_row, _resamples, _row_values, _statistics, _streams, bonferroni_floor, check_alpha,
     score_subjects,
 )
 from golden import CASES, case_inputs
@@ -166,6 +170,13 @@ class TestEmpiricalPvalue:
         dense = (1.0 + (np.abs(column) >= np.abs(t[..., None])).sum(axis=-1)) / (m + 1)
         assert np.array_equal(empirical_pvalue(t, column), dense)
 
+    @pytest.mark.parametrize("t_shape, null_shape", [((3,), (10, 4)), ((2, 3), (10, 4)), ((3,), (10, 1))])
+    def test_statistic_that_does_not_fit_a_null_row_raises(self, t_shape, null_shape):
+        # a (3,) statistic against one null column would score only its first entry
+        with pytest.raises(InvalidInputError) as err:
+            empirical_pvalue(np.zeros(t_shape), np.zeros(null_shape))
+        assert str(err.value).startswith(f"statistic of shape {t_shape} does not fit")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_null_in_the_last_block_raises(self, bad):
         P = 2 * _PVALUE_BLOCK + 3
@@ -188,6 +199,30 @@ class TestBuildNull:
         c = build_null(control_mats, m=10, seed=4)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    def test_bits_are_fixed_at_a_fixed_blas_thread_count(self, tmp_path):
+        # at n=100 OpenBLAS splits products over its threads, which moves
+        # the rounding: the bits are the same only at the same thread count
+        script = (
+            "import sys, numpy as np\n"
+            "from spdconn import SimConfig, build_null, sample_population\n"
+            "cfg = SimConfig(n=100, n_controls=20, sigma=0.057, k_diffs=1, seed=0)\n"
+            "np.save(sys.argv[1], build_null(sample_population(cfg)[0], m=4, seed=0).values)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        nulls = []
+        for k, threads in enumerate(["1", "2", "2"]):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            path = tmp_path / f"null{k}.npy"
+            result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            nulls.append(np.load(path))
+        one, two, again = nulls
+        assert np.array_equal(two, again)
+        np.testing.assert_allclose(one, two, rtol=0, atol=1e-10)
 
     def test_row_depends_only_on_seed_and_iteration(self, control_mats):
         # iteration k draws from generator (seed, k), so a longer run
@@ -688,7 +723,8 @@ class TestTestPatient:
 def stored_scores(controls, subjects, m, seed, parametrization="tangent"):
     """``t``, ``p`` and ``n_failures`` of scoring a stored null."""
     null = build_null(controls, m, seed, parametrization=parametrization)
-    return (*score(null, subjects), null.n_failures)
+    t = _statistics(null.model, subjects)
+    return t, empirical_pvalue(t, null.values), null.n_failures
 
 
 def assert_same_scores(got, stored):
@@ -843,6 +879,16 @@ class TestScoreSubjects:
             assert scores.report(row, 0.1, subject_id="s") == expected
         with pytest.raises(InvalidInputError, match="alpha"):
             scores.report(0, 0.0)
+
+    def test_report_refuses_a_row_that_is_not_a_subject(self, control_mats):
+        scores = score_subjects(control_mats, control_mats[3:5], 5, 1)
+        assert scores.report(np.int64(1)) == scores.report(1)
+        for row in (-1, True, 1.0, "0"):
+            with pytest.raises(InvalidInputError, match="row must be a non-negative integer"):
+                scores.report(row)
+        for row in (2, np.int64(5)):
+            with pytest.raises(InvalidInputError, match=f"row must be below 2, got {row}"):
+                scores.report(row)
 
 
 class TestCertifiedExits:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from spdconn import (
-    InvalidInputError, SimConfig, build_null, fit_from_matrices, sample_population,
-    sample_time_series, test_patient,
+    InvalidInputError, PairTest, SimConfig, TestReport, build_null, fit_from_matrices,
+    sample_population, sample_time_series, test_patient,
 )
 from spdconn import io as sio
 from spdconn import cli, exceptions
@@ -124,6 +124,37 @@ class TestTimeSeriesIO:
         with pytest.raises(InvalidInputError) as err:
             sio.read_time_series(path)
         assert "bad.csv" in str(err.value)
+
+    def test_nan_cell_is_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b\n1.0,nan\n2.0,3.0\n")
+        with pytest.raises(InvalidInputError) as err:
+            sio.read_time_series(path)
+        assert str(err.value) == f"{path}: time series contains non-finite values"
+
+
+def three_region_report(subject_id="p", region_names=None):
+    pairs = tuple(PairTest(i, j, 0.5, 0.25, 0.75, 1) for i, j in ((1, 0), (2, 0), (2, 1)))
+    return TestReport(subject_id, 0.05, pairs, region_names)
+
+
+class TestReportIO:
+    def test_a_report_without_names_names_its_regions_r00_on(self):
+        text = sio.format_report(three_region_report(), m=9, seed=1)
+        rows = [line.split(",")[:2] for line in text.splitlines()[6:]]
+        assert rows == [["r01", "r00"], ["r02", "r00"], ["r02", "r01"]]
+        named = sio.format_report(three_region_report(region_names=("a", "b", "c")), m=9, seed=1)
+        assert named.splitlines()[6].startswith("b,a,")
+
+    def test_a_failed_write_leaves_no_file_behind(self, tmp_path):
+        path = tmp_path / "report.csv"
+        sio.write_report(path, three_region_report(), m=9, seed=1)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write raises midway
+        with pytest.raises(UnicodeEncodeError):
+            sio.write_report(path, three_region_report(subject_id="\ud800"), m=9, seed=1)
+        assert os.listdir(tmp_path) == ["report.csv"]
+        assert path.read_bytes() == before
 
 
 def write_model_doc(tmp_path, **fields):
@@ -809,6 +840,38 @@ def test_input_that_is_not_utf8_fails_naming_the_file(demo, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not valid UTF-8: ")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["fit", "test", "simulate"])
+def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command):
+    from spdconn import group, inference
+
+    fits = []
+    original = group.fit_stack
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return original(*args, **kwargs)
+
+    for module in (group, inference):
+        monkeypatch.setattr(module, "fit_stack", counting)
+    reads = []
+    read = sio.read_time_series
+    monkeypatch.setattr(sio, "read_time_series", lambda path: reads.append(path) or read(path))
+    missing = tmp_path / "missing"
+    out = str(missing / "out.csv")
+    # --m 5 would warn that Bonferroni cannot reject
+    argv = {
+        "fit": ["fit", "--controls", *demo["controls"], "--out", out],
+        "test": ["test", "--controls", *demo["controls"], "--patient", demo["patient"], "--m", "5",
+                 "--out", out],
+        "simulate": ["simulate", "--n", "6", "--n-controls", "8", "--k-diffs", "3", "--m", "5",
+                     "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: its directory does not exist\n"
+    assert fits == [] and reads == []
+    assert not missing.exists()
 
 
 SPDCONN_ERRORS = [

@@ -6,6 +6,7 @@ import pytest
 from spdconn import (
     ConfigurationError,
     GroupModel,
+    InvalidInputError,
     SimConfig,
     auc,
     default_group_correlation,
@@ -130,6 +131,12 @@ class TestInjectDifferences:
         assert len(set(pairs)) == 9
         assert all(j < i for i, j in pairs)
 
+    def test_more_differences_than_pairs_of_the_matrix(self, rng):
+        # the config allows 4 differences at n=8; a 3 x 3 residual has 3 pairs
+        cfg = SimConfig(n=8, n_controls=5, sigma=0.1, d_sigma=0.2, k_diffs=4, seed=13)
+        with pytest.raises(ConfigurationError, match="k_diffs exceeds the number of pairs"):
+            inject_differences(np.zeros((3, 3)), cfg, rng=rng)
+
     def test_seeded_determinism(self):
         cfg = SimConfig(n=8, n_controls=5, sigma=0.1, d_sigma=0.2, k_diffs=4, seed=13)
         base = np.zeros((8, 8))
@@ -147,6 +154,11 @@ class TestAuc:
 
     def test_always_wrong(self):
         assert auc([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]) == 0.0
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0], [(0.0, 0.0, 1.0)], np.zeros((2, 2, 2))])
+    def test_refuses_what_is_not_k_by_2(self, points):
+        with pytest.raises(InvalidInputError, match=r"points must be a \(k, 2\) array"):
+            auc(points)
 
 
 class TestRocExperiment:
