@@ -22,13 +22,23 @@ Who holds the null decides the memory.  ``build_null`` stores all ``m``
 rows, ``O(m P)``, for callers that need the values themselves.
 ``score_subjects`` knows its ``k`` subjects before the bootstrap, so it
 counts each chunk's exceedances and reuses one chunk buffer: ``O(k P +
-chunk P)`` whatever ``m`` is, with p-values equal to scoring the stored null.
+chunk P)`` per worker whatever ``m`` is, with p-values equal to scoring the
+stored null.
+
+The iterations run on every usable core that BLAS leaves free: where the
+environment pins BLAS to fewer threads than there are cores, contiguous
+ranges of ``k`` run in forked children (``_worker_count``), with the same
+rows, counts and errors as one process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +149,9 @@ def empirical_pvalue(t, null_values):
     ``(0, 1]`` and monotone non-increasing in ``|t|``.  ``null_values`` is
     ``(m,)`` or ``(m, P)`` with finite values, one column per coordinate
     of ``t``; ``t`` broadcasts against a row of it, so it may be ``(P,)``
-    or ``(k, P)``.  A non-finite null value or a NaN in ``t`` raises
-    ``InvalidInputError``; an infinite ``t`` gets the smallest p-value.
+    or ``(k, P)``.  A null of another number of dimensions, a non-finite
+    null value or a NaN in ``t`` raises ``InvalidInputError``; an
+    infinite ``t`` gets the smallest p-value.
     The caller holds the null.  The exceedances are counted by binary
     search in each column's sorted ``|null|``, taken ``_PVALUE_BLOCK``
     columns at a time, so the only temporary that grows with ``m`` is one
@@ -148,6 +159,8 @@ def empirical_pvalue(t, null_values):
     kernel over each chunk of a null it never stores.
     """
     null = np.asarray(null_values, dtype=np.float64)
+    if null.ndim not in (1, 2):
+        raise InvalidInputError(f"null values have shape {null.shape}, expected (m,) or (m, P)")
     if null.size == 0:
         raise InvalidInputError("empty null sample")
     row = null.shape[1:]
@@ -497,27 +510,122 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
     return n_failures
 
 
-def _bootstrap(model: GroupModel, mats, seed: int, m: int, out, on_chunk=None) -> int:
-    """Run the ``m`` bootstrap iterations into ``out``, ``_null_chunk`` by
-    ``_null_chunk``; returns the number of failed fits.
+# The environment variables that set a BLAS library's thread count.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    ``out`` is either the whole ``(m, P)`` null, each chunk written to its
-    own rows, or one ``(min(m, _DRAW_CHUNK), P)`` buffer that every chunk
-    overwrites; ``on_chunk(rows)`` sees each chunk's rows once written.
-    The retry cap and the 10% abort count failures over the whole run.
+
+def _worker_count(m: int) -> int:
+    """Processes to run ``m`` bootstrap iterations on: the usable cores
+    over the BLAS threads each process runs, at least 1 and at most ``m``.
+
+    The BLAS thread count is the largest that ``_BLAS_THREAD_VARIABLES``
+    declare; where none does, BLAS runs a thread per usable core, so one
+    process runs.  So does a platform that cannot fork or report its
+    usable cores, and a process where another Python thread runs, which a
+    forked child would not have.
     """
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    declared = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
+    blas = max((int(v) for v in declared if v.isdecimal() and int(v) > 0), default=cores)
+    return max(1, min(m, cores // blas))
+
+
+def _run_child(run, rank: int, pipe: int):
+    """In a forked child: run range ``rank``, write its exception, pickled,
+    into ``pipe`` if it raises, and end the process without returning,
+    so no exit handler of the parent's runs here."""
+    code = 1
+    try:
+        try:
+            run(rank)
+            code = 0
+        except BaseException as exc:  # the parent raises it again, KeyboardInterrupt too
+            message = pickle.dumps(exc)
+            with open(pipe, "wb") as out:
+                out.write(message)
+    finally:
+        os._exit(code)
+
+
+def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
+    """Run the ``m`` bootstrap iterations; returns the result and the
+    number of failed fits.
+
+    Without ``abs_t`` the result is the ``(m, P)`` null, each chunk
+    written into its own rows.  With ``abs_t``, the ``(k, P)`` magnitudes
+    of the subjects' statistics, it is how many null values lie below
+    each, counted chunk by chunk in one reused ``(_DRAW_CHUNK, P)``
+    buffer, so the null is never stored.
+
+    The iterations are split into ``_worker_count(m)`` contiguous ranges
+    of ``k``.  This process runs the first range and forks a child for
+    each other one.  Every range runs ``_null_chunk`` by ``_null_chunk``,
+    cut at multiples of ``_DRAW_CHUNK``, and writes its rows, its own count
+    and its failure count into one shared anonymous map; rows depend only
+    on ``seed`` and ``k`` and counts are integers, so the result is the
+    same for any number of ranges.  Once every child is reaped, the error
+    of the lowest failing range is raised; a raise in this process's own
+    range kills the children first.  The retry cap and the 10% abort count
+    failures over the whole run.
+    """
+    workers, n_pairs = _worker_count(m), pair_count(model.n)
+    bounds = [m * w // workers for w in range(workers + 1)]
+    shape = (m, n_pairs) if abs_t is None else (workers, *abs_t.shape)
+    # the failure counts, then the null or the counts, all 8 bytes an entry
+    shared = mmap.mmap(-1, 8 * (workers + math.prod(shape)))
+    failures = np.frombuffer(shared, np.int64, workers)
+    result = np.frombuffer(shared, np.float64 if abs_t is None else np.int64,
+                           offset=failures.nbytes).reshape(shape)
     # An iteration that keeps failing is abandoned once it alone would push
     # the total failure rate over the abort threshold.
     retry_cap = max(1, math.ceil(0.1 * m) + 1)
-    n_failures = 0
-    for s in range(0, m, _DRAW_CHUNK):
-        rows = out[s % len(out):][:min(_DRAW_CHUNK, m - s)]
-        n_failures += _null_chunk(model, mats, seed, s, rows, retry_cap)
-        if on_chunk is not None:
-            on_chunk(rows)
+
+    def run(rank: int):
+        start, stop = bounds[rank], bounds[rank + 1]
+        if abs_t is not None:
+            buffer = np.empty((min(stop - start, _DRAW_CHUNK), n_pairs))
+        edges = [start, *range(start - start % _DRAW_CHUNK + _DRAW_CHUNK, stop, _DRAW_CHUNK), stop]
+        for lo, hi in zip(edges, edges[1:]):
+            rows = result[lo:hi] if abs_t is None else buffer[:hi - lo]
+            failures[rank] += _null_chunk(model, mats, seed, lo, rows, retry_cap)
+            if abs_t is not None:
+                _count_below(abs_t, rows, result[rank])
+
+    children, pipes = {}, []  # the pids not yet reaped, by rank; the read ends of their pipes
+    try:
+        for rank in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(read)
+            pid = os.fork()
+            if pid == 0:
+                _run_child(run, rank, write)
+            os.close(write)
+            children[rank] = pid
+        run(0)
+        for rank, read in enumerate(pipes, start=1):
+            with open(read, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            _, status = os.waitpid(children[rank], 0)
+            del children[rank]
+            if message:
+                raise pickle.loads(message)
+            if status:
+                raise RuntimeError(f"bootstrap worker {rank} ended with wait status {status}")
+    finally:
+        for read in pipes:
+            os.close(read)
+        if children:
+            import signal  # imported only to stop children: a clean run loads no module for it
+
+            for pid in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    n_failures = int(failures.sum())
     if n_failures > 0.1 * m:
         raise ConvergenceError(f"{n_failures} failed fits over {m} bootstrap iterations (> 10%)")
-    return n_failures
+    return (result if abs_t is None else result.sum(axis=0)), n_failures
 
 
 def _control_stack(controls, m, seed, parametrization: str):
@@ -554,7 +662,8 @@ def build_null(
     flat null is computed from each resample's coordinates without a fit
     per iteration; its rows equal the per-iteration refits' statistics up
     to rounding.  One loop fills both nulls in place, ``_null_chunk`` by
-    ``_null_chunk``; the retry cap and the 10% abort count over the run.
+    ``_null_chunk``, split over ``_worker_count(m)`` processes; the retry
+    cap and the 10% abort count over the run.
     The result holds all ``m`` rows; ``score_subjects`` scores subjects
     from the same rows without storing them.
 
@@ -572,8 +681,9 @@ def build_null(
         ``np.random.default_rng([seed, k])`` under numpy 2.4.6, and a
         retried tangent fit continues that stream.  So in both
         parametrizations the result is reproducible and row ``k`` depends
-        only on ``seed`` and ``k``: not on ``m`` or on the order or
-        grouping in which iterations run.
+        only on ``seed`` and ``k``: not on ``m``, on the order or
+        grouping in which iterations run, or on how many processes run
+        them.
 
     With very few controls, a resample can draw one control ``S`` times.
     Its spread is zero, its standard deviation is floored at ``SD_FLOOR``,
@@ -594,8 +704,7 @@ def build_null(
     """
     mats, names = _control_stack(controls, m, seed, parametrization)
     model = fit_stack(mats, parametrization, region_names=names)
-    values = np.empty((m, pair_count(model.n)))
-    n_failures = _bootstrap(model, mats, seed, m, values)
+    values, n_failures = _bootstrap(model, mats, seed, m)
     return NullDistribution(model, values, seed, n_failures)
 
 
@@ -627,8 +736,9 @@ def score_subjects(
     statistics come before the bootstrap, and a NaN among them raises
     ``InvalidInputError`` there.  Each chunk of null rows is then written
     into one reused ``(min(m, _DRAW_CHUNK), P)`` buffer, and its
-    exceedances are added into a ``(k, P)`` integer count, so memory is
-    ``O(k P + chunk P)`` however large ``m`` is.  A non-finite null row
+    exceedances are added into a ``(k, P)`` integer count, one buffer and
+    one count per worker, so memory is ``O(k P + chunk P)`` per worker
+    however large ``m`` is.  A non-finite null row
     raises ``InvalidInputError`` as ``empirical_pvalue`` does.
     """
     mats, names = _control_stack(controls, m, seed, parametrization)
@@ -636,12 +746,7 @@ def score_subjects(
     model = fit_stack(mats, parametrization, region_names=names)
     t = _statistics(model, subjects)
     del subjects  # the bootstrap keeps only t
-    abs_t = _abs_statistic(t, t.shape)
-    below = np.zeros(t.shape, dtype=np.intp)
-    buffer = np.empty((min(m, _DRAW_CHUNK), t.shape[1]))
-    n_failures = _bootstrap(
-        model, mats, seed, m, buffer, lambda rows: _count_below(abs_t, rows, below)
-    )
+    below, n_failures = _bootstrap(model, mats, seed, m, _abs_statistic(t, t.shape))
     return SubjectScores(model, t, _add_one(below, m), n_failures)
 
 

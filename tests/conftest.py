@@ -16,3 +16,12 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every bootstrap in this process, so that a spy on the calls it
+    makes sees them all, whatever BLAS thread count the environment sets."""
+    from spdconn import inference
+
+    monkeypatch.setattr(inference, "_worker_count", lambda m: 1)

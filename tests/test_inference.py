@@ -2,6 +2,8 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -170,12 +172,18 @@ class TestEmpiricalPvalue:
         dense = (1.0 + (np.abs(column) >= np.abs(t[..., None])).sum(axis=-1)) / (m + 1)
         assert np.array_equal(empirical_pvalue(t, column), dense)
 
-    @pytest.mark.parametrize("t_shape, null_shape", [((3,), (10, 4)), ((2, 3), (10, 4)), ((3,), (10, 1))])
+    @pytest.mark.parametrize("t_shape, null_shape", [
+        ((3,), (10, 4)), ((2, 3), (10, 4)), ((3,), (10, 1)), ((), (5, 2, 2)), ((), ()),
+    ])
     def test_statistic_that_does_not_fit_a_null_row_raises(self, t_shape, null_shape):
-        # a (3,) statistic against one null column would score only its first entry
+        # a (3,) statistic against one null column would score only its first
+        # entry; a null that is neither (m,) nor (m, P) has no row to fit
         with pytest.raises(InvalidInputError) as err:
             empirical_pvalue(np.zeros(t_shape), np.zeros(null_shape))
-        assert str(err.value).startswith(f"statistic of shape {t_shape} does not fit")
+        if len(null_shape) in (1, 2):
+            assert str(err.value).startswith(f"statistic of shape {t_shape} does not fit")
+        else:
+            assert str(err.value) == f"null values have shape {null_shape}, expected (m,) or (m, P)"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_null_in_the_last_block_raises(self, bad):
@@ -202,25 +210,30 @@ class TestBuildNull:
 
     def test_bits_are_fixed_at_a_fixed_blas_thread_count(self, tmp_path):
         # at n=100 OpenBLAS splits products over its threads, which moves
-        # the rounding: the bits are the same only at the same thread count
+        # the rounding: the bits are the same only at the same thread count.
+        # One BLAS thread lets every usable core run a worker; the bits are
+        # those of one process.
         script = (
             "import sys, numpy as np\n"
-            "from spdconn import SimConfig, build_null, sample_population\n"
+            "from spdconn import SimConfig, build_null, inference, sample_population\n"
+            "if sys.argv[2] == 'serial':\n"
+            "    inference._worker_count = lambda m: 1\n"
             "cfg = SimConfig(n=100, n_controls=20, sigma=0.057, k_diffs=1, seed=0)\n"
             "np.save(sys.argv[1], build_null(sample_population(cfg)[0], m=4, seed=0).values)\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         nulls = []
-        for k, threads in enumerate(["1", "2", "2"]):
+        for k, (threads, workers) in enumerate([("1", "serial"), ("1", "any"), ("2", "any"), ("2", "any")]):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             path = tmp_path / f"null{k}.npy"
-            result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+            result = subprocess.run([sys.executable, "-c", script, str(path), workers], env=env,
                                     capture_output=True, text=True, timeout=300)
             assert result.returncode == 0, result.stderr
             nulls.append(np.load(path))
-        one, two, again = nulls
+        serial, one, two, again = nulls
+        assert np.array_equal(one, serial)
         assert np.array_equal(two, again)
         np.testing.assert_allclose(one, two, rtol=0, atol=1e-10)
 
@@ -255,6 +268,7 @@ class TestBuildNull:
         with pytest.raises(InvalidInputError):
             build_null(control_mats[:2], m=5, seed=0)
 
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("build", [
         lambda stack: build_null(stack, m=5),
         lambda stack: score_subjects(stack, stack[:1], 5),
@@ -306,6 +320,7 @@ class TestBuildNull:
             null = build_null(control_mats, m=6, seed=seed, parametrization=parametrization)
             assert np.array_equal(null.values, reference.values)
 
+    @pytest.mark.usefixtures("one_worker")
     def test_abort_on_persistent_fit_failure(self, control_mats, monkeypatch):
         refits = failing_refits(monkeypatch, lambda pick: True)
         with pytest.raises(ConvergenceError, match="bootstrap iteration 0 failed 2 times in a row"):
@@ -328,6 +343,7 @@ class TestBuildNull:
         # a retried iteration takes the next draw of its own generator
         assert not np.any(np.all(null.values[failed] == clean.values[failed], axis=1))
 
+    @pytest.mark.usefixtures("one_worker")
     def test_retries_across_a_chunk_boundary(self, two_chunk_mats, monkeypatch):
         m, seed, s_count = _DRAW_CHUNK + 10, 5, len(two_chunk_mats)
         clean = build_null(two_chunk_mats, m=m, seed=seed)
@@ -343,6 +359,7 @@ class TestBuildNull:
             refit = _refit_row(clean.model, two_chunk_mats, left, pick)
             assert np.array_equal(null.values[k], refit)
 
+    @pytest.mark.usefixtures("one_worker")
     def test_abort_names_the_global_iteration(self, two_chunk_mats, monkeypatch):
         m, seed, k = _DRAW_CHUNK + 10, 5, _DRAW_CHUNK + 5
         retry_cap = 105  # ceil(0.1 m) + 1
@@ -363,6 +380,7 @@ class TestBuildNull:
         with pytest.raises(ConvergenceError, match=rf"104 failed fits over {m} .* \(> 10%\)"):
             build_null(two_chunk_mats, m=m, seed=seed)
 
+    @pytest.mark.usefixtures("one_worker")
     def test_control_group_that_does_not_converge_fails_first(self, control_mats, monkeypatch):
         refits = failing_refits(monkeypatch, lambda pick: False)
         # an impossible tolerance makes the fit of the control group fail
@@ -764,6 +782,7 @@ class TestScoreSubjects:
         got = score_subjects(*args, parametrization=parametrization)
         assert_same_scores(got, stored_scores(*args, parametrization))
 
+    @pytest.mark.usefixtures("one_worker")
     def test_equals_the_stored_null_with_retries_across_a_chunk_boundary(self, two_chunk_mats, monkeypatch):
         m, seed, s_count = _DRAW_CHUNK + 10, 5, len(two_chunk_mats)
         failed = [_DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 3]
@@ -802,6 +821,7 @@ class TestScoreSubjects:
         with pytest.raises(InvalidInputError, match="non-finite"):
             build_null(control_mats, 20, 0, parametrization="flat")
 
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("parametrization", ["tangent", "flat"])
     def test_refuses_a_nan_statistic_before_the_bootstrap(self, control_mats, monkeypatch, parametrization):
         chunks, fits = [], []
@@ -814,6 +834,7 @@ class TestScoreSubjects:
         assert chunks == []
         assert fits == []
 
+    @pytest.mark.usefixtures("one_worker")
     def test_checks_the_subjects_before_fitting(self, control_mats, monkeypatch):
         fits = []
         monkeypatch.setattr(inference, "fit_stack", lambda *args, **kwargs: fits.append(args))
@@ -824,6 +845,7 @@ class TestScoreSubjects:
             score_subjects(control_mats, control_mats[:2], 0, 0)
         assert fits == []
 
+    @pytest.mark.usefixtures("one_worker")
     def test_refuses_an_indefinite_subject_before_fitting(self, control_mats, monkeypatch):
         # a stack is validated as test_patient validates its patient
         null = build_null(control_mats, 5, 0)
@@ -837,6 +859,7 @@ class TestScoreSubjects:
             score_subjects(control_mats, subjects, 20, 0)
         assert fits == []
 
+    @pytest.mark.usefixtures("one_worker")
     def test_takes_time_series_subjects(self, named_series, monkeypatch):
         controls, subjects = named_series[:4], named_series[4:]
         stack = np.stack([correlation_matrix(ts) for ts in subjects])
@@ -853,6 +876,7 @@ class TestScoreSubjects:
             score_subjects(controls, [permuted], 20, 3)
         assert fits == []
 
+    @pytest.mark.usefixtures("one_worker")
     def test_chunks_reuse_one_buffer(self, control_mats, monkeypatch):
         m = 2 * _DRAW_CHUNK + 5
         seen = []
@@ -891,6 +915,7 @@ class TestScoreSubjects:
                 scores.report(row)
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestCertifiedExits:
     """The refits' exit certificate saves decompositions and changes no
     null row, statistic, p-value or failure count."""
@@ -978,3 +1003,142 @@ class TestCertifiedExits:
         score_subjects(controls, controls[:2], m, seed)
         distinct = sum(len(np.unique(pick)) for pick in _resample_range(seed, 0, m, 20)[1])
         assert sum(counted) <= control_fit + distinct + 4 * m
+
+
+def run_on_workers(monkeypatch, count):
+    """Split every bootstrap over ``count`` processes."""
+    monkeypatch.setattr(inference, "_worker_count", lambda m: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """A bootstrap split over forked workers gives the bits, the failure
+    count and the errors of one process, and leaves no process behind."""
+
+    @staticmethod
+    def results_per_worker_count(monkeypatch, controls, subjects, m, parametrization):
+        results = []
+        for count in (1, 2, 3):
+            run_on_workers(monkeypatch, count)
+            null = build_null(controls, m, 4, parametrization=parametrization)
+            scores = score_subjects(controls, subjects, m, 4, parametrization=parametrization)
+            results.append((null.values, null.n_failures, scores.t, scores.p, scores.n_failures))
+            assert_no_child_left()
+        return results
+
+    @pytest.mark.parametrize("parametrization, m", [("tangent", 30), ("flat", 2 * _DRAW_CHUNK + 7)])
+    def test_same_bits_for_any_worker_count_at_n33(self, monkeypatch, parametrization, m):
+        # the roc workloads' population; the flat ranges cross chunk boundaries
+        cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+        controls, _ = sample_population(cfg)
+        subjects, _ = sample_population(cfg, rng=np.random.default_rng(2), size=3)
+        serial, *split = self.results_per_worker_count(monkeypatch, controls, subjects, m, parametrization)
+        for result in split:
+            for got, expected in zip(result, serial):
+                assert np.array_equal(got, expected)
+
+    def test_same_bits_for_any_worker_count_at_n100(self, monkeypatch):
+        cfg = SimConfig(n=100, n_controls=20, sigma=0.057, k_diffs=1, seed=0)
+        controls, _ = sample_population(cfg)
+        serial, *split = self.results_per_worker_count(monkeypatch, controls, controls[:1], 3, "tangent")
+        for result in split:
+            for got, expected in zip(result, serial):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k", [0, 5, 11])  # in the first, the middle and the last of 3 ranges
+    @pytest.mark.parametrize("run", [
+        lambda mats: build_null(mats, m=12, seed=0),
+        lambda mats: score_subjects(mats, mats[:2], 12, 0),
+    ], ids=["build_null", "score_subjects"])
+    def test_retry_cap_failure_raises_the_serial_message(self, control_mats, monkeypatch, k, run):
+        retry_cap = 3  # ceil(0.1 m) + 1
+        messages = []
+        for count in (1, 3):
+            run_on_workers(monkeypatch, count)
+            failing_refits(monkeypatch, first_draws(len(control_mats), 0, [k], attempts=retry_cap))
+            with pytest.raises(ConvergenceError) as err:
+                run(control_mats)
+            messages.append(str(err.value))
+            assert_no_child_left()
+        assert messages == [f"bootstrap iteration {k} failed 3 times in a row"] * 2
+
+    @pytest.mark.parametrize("k", [6, 11])
+    def test_non_finite_row_in_a_child_range_raises(self, control_mats, monkeypatch, k):
+        chunk = inference._null_chunk
+
+        def spoiled(model, mats, seed, start, out, retry_cap):
+            n_failures = chunk(model, mats, seed, start, out, retry_cap)
+            if start <= k < start + len(out):
+                out[k - start] = np.nan
+            return n_failures
+
+        monkeypatch.setattr(inference, "_null_chunk", spoiled)
+        run_on_workers(monkeypatch, 3)
+        with pytest.raises(InvalidInputError, match="null sample contains non-finite"):
+            score_subjects(control_mats, control_mats[:2], 12, 0, parametrization="flat")
+        assert_no_child_left()
+        with pytest.raises(InvalidInputError, match="null distribution contains non-finite"):
+            build_null(control_mats, 12, 0, parametrization="flat")
+        assert_no_child_left()
+
+    def test_interrupt_in_this_process_kills_the_children(self, control_mats, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # killed long before
+
+        monkeypatch.setattr(inference, "_null_chunk", interrupted)
+        run_on_workers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            build_null(control_mats, 12, 0, parametrization="flat")
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_child_that_ends_without_an_error_raises(self, control_mats, monkeypatch):
+        parent = os.getpid()
+        chunk = inference._null_chunk
+
+        def vanishing(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return chunk(*args)
+
+        monkeypatch.setattr(inference, "_null_chunk", vanishing)
+        run_on_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="bootstrap worker 1 ended with wait status"):
+            score_subjects(control_mats, control_mats[:2], 12, 0, parametrization="flat")
+        assert_no_child_left()
+
+    def test_worker_count_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        for name in inference._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        count = inference._worker_count
+        assert count(100) == 1  # BLAS runs a thread per core
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert (count(100), count(3), count(1)) == (4, 3, 1)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")  # the largest declared count
+        assert count(100) == 2
+        monkeypatch.setenv("MKL_NUM_THREADS", "8")
+        assert count(100) == 1
+        for ignored in ("", "0", "two", "-1", "1,2"):
+            monkeypatch.setenv("MKL_NUM_THREADS", ignored)
+            assert count(100) == 2
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert count(100) == 1  # a fork would copy no other thread
+        finally:
+            release.set()
+            thread.join()
+        assert count(100) == 2
+        monkeypatch.delattr(os, "fork")
+        assert count(100) == 1

@@ -421,6 +421,7 @@ class TestCliTest:
         assert rows[0] == "region_i,region_j,t,p_raw,p_corrected,direction"
         assert len(rows) - 1 == 5 * 4 // 2
 
+    @pytest.mark.usefixtures("one_worker")
     def test_estimates_each_subject_once(self, demo, tmp_path, monkeypatch):
         from spdconn import estimators
 
@@ -491,6 +492,7 @@ class TestCliTest:
         # a fit takes one region
         assert main(["fit", "--controls", *paths, "--out", str(tmp_path / "model.json")]) == 0
 
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("case", ["alpha", "regions", "m", "seed"])
     def test_rejects_bad_arguments_before_bootstrap(self, demo, tmp_path, monkeypatch, capsys, case):
         from spdconn import TimeSeries, group, inference
@@ -842,6 +844,7 @@ def test_input_that_is_not_utf8_fails_naming_the_file(demo, tmp_path, capsys, co
     assert not os.path.exists(out)
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("command", ["fit", "test", "simulate"])
 def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command):
     from spdconn import group, inference

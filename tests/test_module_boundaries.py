@@ -3,12 +3,16 @@
 generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
 each bootstrap stream once, runs one bootstrap loop with one abort, computes
 the statistic in one function, subjects are paired with the controls in one
-place, every function the benchmark's tracer relies on stays a public
-function, and the public API is the listed one."""
+place, only the bootstrap forks, ``import spdconn`` loads no process pool,
+every function the benchmark's tracer relies on stays a public function,
+and the public API is the listed one."""
 
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +226,60 @@ def test_one_subject_check_in_the_package():
 
     assert modules("differ from the controls'") == ["group.py"]
     assert set(modules("subjects have shape")) == {"group.py"}
+
+
+FORKS = ("fork", "forkpty", "Process", "ProcessPoolExecutor", "ThreadPoolExecutor")
+
+
+def fork_uses(source: str) -> list[str]:
+    """Uses of ``os.fork`` and of other ways to start a process or a pool
+    in ``source``: attribute uses, bare names and imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FORKS:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id in FORKS:
+            found.append(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"from {node.module} import {a.name}" for a in node.names if a.name in FORKS]
+    return found
+
+
+def test_guard_finds_fork_uses():
+    source = (
+        "import os\n"
+        "from os import fork\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "pid = os.fork()\n"
+        "fork()\n"
+        "os.getpid()\n"
+    )
+    assert fork_uses(source) == [
+        "from os import fork", "from concurrent.futures import ThreadPoolExecutor", "os.fork", "fork",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_bootstrap_forks(path):
+    # the bootstrap's workers are the package's only processes: a second
+    # place that forks would need its own reaping and its own error rule
+    uses = fork_uses(path.read_text())
+    assert uses == (["os.fork"] if path.name == "inference.py" else []), uses
+
+
+def test_import_loads_no_process_pool():
+    # workers are plain forks: the pools' modules cost memory and start-up
+    code = (
+        "import sys, spdconn\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def name_readers(source: str, name: str) -> list[str]:
