@@ -49,6 +49,8 @@ def _load_series(paths, confound_paths=None):
 
 
 def _check_out(path):
+    if os.path.isdir(path):
+        raise InvalidInputError(f"--out {path}: it is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise InvalidInputError(f"--out {path}: its directory does not exist")
 
@@ -115,6 +117,10 @@ def cmd_test(args) -> int:
 
 
 def cmd_likelihood(args) -> int:
+    if args.loo and args.model:
+        raise InvalidInputError("--loo reads no --model; give one of them")
+    if args.model and args.controls:
+        raise InvalidInputError("--model reads no --controls; leave-one-out needs --loo")
     if args.loo:
         if not args.controls:
             raise InvalidInputError("--loo requires --controls")

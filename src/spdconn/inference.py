@@ -28,7 +28,8 @@ stored null.
 The iterations run on every usable core that BLAS leaves free: where the
 environment pins BLAS to fewer threads than there are cores, contiguous
 ranges of ``k`` run in forked children (``_worker_count``), with the same
-rows, counts and errors as one process.
+rows, counts and errors as one process: a range that raised in its child
+runs again in the calling process, which raises its error there.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import itertools
 import math
 import mmap
 import os
-import pickle
 import threading
 from dataclasses import dataclass
 
@@ -532,23 +532,6 @@ def _worker_count(m: int) -> int:
     return max(1, min(m, cores // blas))
 
 
-def _run_child(run, rank: int, pipe: int):
-    """In a forked child: run range ``rank``, write its exception, pickled,
-    into ``pipe`` if it raises, and end the process without returning,
-    so no exit handler of the parent's runs here."""
-    code = 1
-    try:
-        try:
-            run(rank)
-            code = 0
-        except BaseException as exc:  # the parent raises it again, KeyboardInterrupt too
-            message = pickle.dumps(exc)
-            with open(pipe, "wb") as out:
-                out.write(message)
-    finally:
-        os._exit(code)
-
-
 def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
     """Run the ``m`` bootstrap iterations; returns the result and the
     number of failed fits.
@@ -565,10 +548,12 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
     cut at multiples of ``_DRAW_CHUNK``, and writes its rows, its own count
     and its failure count into one shared anonymous map; rows depend only
     on ``seed`` and ``k`` and counts are integers, so the result is the
-    same for any number of ranges.  Once every child is reaped, the error
-    of the lowest failing range is raised; a raise in this process's own
-    range kills the children first.  The retry cap and the 10% abort count
-    failures over the whole run.
+    same for any number of ranges.  A child whose range raised ends with
+    status 1 and its range runs again here, so reaping the children in
+    rank order raises the lowest failing range's own error, with its
+    traceback; a child that ends in any other way raises ``RuntimeError``.
+    A raise here kills the children not yet reaped.  The retry cap and the
+    10% abort count failures over the whole run.
     """
     workers, n_pairs = _worker_count(m), pair_count(model.n)
     bounds = [m * w // workers for w in range(workers + 1)]
@@ -584,7 +569,9 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
 
     def run(rank: int):
         start, stop = bounds[rank], bounds[rank + 1]
+        failures[rank] = 0  # so that a range runs a second time exactly
         if abs_t is not None:
+            result[rank] = 0
             buffer = np.empty((min(stop - start, _DRAW_CHUNK), n_pairs))
         edges = [start, *range(start - start % _DRAW_CHUNK + _DRAW_CHUNK, stop, _DRAW_CHUNK), stop]
         for lo, hi in zip(edges, edges[1:]):
@@ -593,29 +580,27 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
             if abs_t is not None:
                 _count_below(abs_t, rows, result[rank])
 
-    children, pipes = {}, []  # the pids not yet reaped, by rank; the read ends of their pipes
+    children = {}  # the pids not yet reaped, by rank
     try:
         for rank in range(1, workers):
-            read, write = os.pipe()
-            pipes.append(read)
             pid = os.fork()
-            if pid == 0:
-                _run_child(run, rank, write)
-            os.close(write)
+            if pid == 0:  # the child ends here, with status 0 if its range returned
+                code = 1
+                try:
+                    run(rank)
+                    code = 0
+                finally:
+                    os._exit(code)  # so no exit handler of the parent's runs here
             children[rank] = pid
         run(0)
-        for rank, read in enumerate(pipes, start=1):
-            with open(read, "rb", closefd=False) as pipe:
-                message = pipe.read()
+        for rank in range(1, workers):
             _, status = os.waitpid(children[rank], 0)
             del children[rank]
-            if message:
-                raise pickle.loads(message)
-            if status:
+            if os.waitstatus_to_exitcode(status) == 1:
+                run(rank)  # the range raised in its child: raise its error here
+            elif status:
                 raise RuntimeError(f"bootstrap worker {rank} ended with wait status {status}")
     finally:
-        for read in pipes:
-            os.close(read)
         if children:
             import signal  # imported only to stop children: a clean run loads no module for it
 

@@ -30,6 +30,9 @@ def _atomic_write_text(path, text: str):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # as open() would; mkstemp gives 0o600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

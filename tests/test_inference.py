@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -1065,6 +1066,35 @@ class TestWorkers:
             messages.append(str(err.value))
             assert_no_child_left()
         assert messages == [f"bootstrap iteration {k} failed 3 times in a row"] * 2
+
+    def test_error_of_a_child_range_is_raised_where_it_is_raised(self, control_mats, monkeypatch):
+        # the parent runs the failing last range again: the traceback reaches
+        # the raise in _null_chunk, not only the reaping in _bootstrap
+        run_on_workers(monkeypatch, 3)
+        failing_refits(monkeypatch, first_draws(len(control_mats), 0, [11], attempts=3))
+        with pytest.raises(ConvergenceError) as err:
+            build_null(control_mats, m=12, seed=0)
+        assert str(err.value) == "bootstrap iteration 11 failed 3 times in a row"
+        assert "_null_chunk" in [frame.name for frame in traceback.extract_tb(err.tb)]
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+    def test_failed_fork_leaves_no_fd_and_no_child(self, control_mats, monkeypatch):
+        fork, calls = os.fork, []
+
+        def failing_second_fork():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("fork failed")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_second_fork)
+        run_on_workers(monkeypatch, 3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="fork failed"):
+            build_null(control_mats, 12, 0, parametrization="flat")
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()
 
     @pytest.mark.parametrize("k", [6, 11])
     def test_non_finite_row_in_a_child_range_raises(self, control_mats, monkeypatch, k):

@@ -683,8 +683,12 @@ class TestCliLikelihood:
             (["--loo"], "--loo requires --controls"),
             ([], "either --model or --loo is required"),
             (["--model", "m.json"], "no subject files given"),
+            (["--loo", "--model", "m.json", "--controls", "c.csv"],
+             "--loo reads no --model; give one of them"),
+            (["--model", "m.json", "--controls", "c.csv"],
+             "--model reads no --controls; leave-one-out needs --loo"),
         ],
-        ids=["loo-without-controls", "no-mode", "no-subjects"],
+        ids=["loo-without-controls", "no-mode", "no-subjects", "loo-with-model", "model-with-controls"],
     )
     def test_refuses_incomplete_arguments(self, demo, capsys, argv, message):
         subjects = [] if "--model" in argv else [demo["patient"]]
@@ -845,8 +849,12 @@ def test_input_that_is_not_utf8_fails_naming_the_file(demo, tmp_path, capsys, co
 
 
 @pytest.mark.usefixtures("one_worker")
-@pytest.mark.parametrize("command", ["fit", "test", "simulate"])
-def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("command, is_directory", [  # or --out names a directory
+    pytest.param(command, is_directory, id=command + "-directory" * is_directory)
+    for is_directory in (False, True) for command in ("fit", "test", "simulate")
+])
+def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command,
+                                                          is_directory):
     from spdconn import group, inference
 
     fits = []
@@ -862,7 +870,9 @@ def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkey
     read = sio.read_time_series
     monkeypatch.setattr(sio, "read_time_series", lambda path: reads.append(path) or read(path))
     missing = tmp_path / "missing"
-    out = str(missing / "out.csv")
+    out, problem = str(missing / "out.csv"), "its directory does not exist"
+    if is_directory:
+        out, problem = str(tmp_path), "it is a directory"
     # --m 5 would warn that Bonferroni cannot reject
     argv = {
         "fit": ["fit", "--controls", *demo["controls"], "--out", out],
@@ -872,9 +882,28 @@ def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkey
                      "--out", out],
     }[command]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: --out {out}: its directory does not exist\n"
+    assert capsys.readouterr().err == f"error: --out {out}: {problem}\n"
     assert fits == [] and reads == []
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "test", "simulate"])
+def test_outputs_take_the_umask(demo, tmp_path, capsys, command):
+    # written as open() writes: 0o666 less the umask, not mkstemp's 0o600
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--controls", *demo["controls"], "--out", str(out)],
+        "test": ["test", "--controls", *demo["controls"], "--patient", demo["patient"], "--m", "5",
+                 "--out", str(out)],
+        "simulate": ["simulate", "--n", "6", "--n-controls", "8", "--k-diffs", "3", "--m", "5",
+                     "--out", str(out)],
+    }[command]
+    umask = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o644
 
 
 SPDCONN_ERRORS = [

@@ -3,7 +3,8 @@
 generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
 each bootstrap stream once, runs one bootstrap loop with one abort, computes
 the statistic in one function, subjects are paired with the controls in one
-place, only the bootstrap forks, ``import spdconn`` loads no process pool,
+place, only the bootstrap forks, its workers send nothing through a pickle
+or a pipe, ``import spdconn`` loads no process pool,
 every function the benchmark's tracer relies on stays a public function,
 and the public API is the listed one."""
 
@@ -265,6 +266,40 @@ def test_only_the_bootstrap_forks(path):
     # place that forks would need its own reaping and its own error rule
     uses = fork_uses(path.read_text())
     assert uses == (["os.fork"] if path.name == "inference.py" else []), uses
+
+
+def channel_uses(source: str) -> list[str]:
+    """Imports of ``pickle`` and uses of ``os.pipe`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "pipe":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name == "pickle"]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"from {node.module} import {a.name}" for a in node.names
+                      if node.module == "pickle" or (node.module == "os" and a.name == "pipe")]
+    return found
+
+
+def test_guard_finds_channel_uses():
+    source = (
+        "import os, pickle\n"
+        "from os import pipe\n"
+        "from pickle import loads\n"
+        "read, write = os.pipe()\n"
+        "os.close(read)\n"
+    )
+    assert channel_uses(source) == [
+        "import pickle", "from os import pipe", "from pickle import loads", "os.pipe",
+    ]
+
+
+def test_workers_report_only_their_exit_status():
+    # a range that raised in its child runs again in the calling process,
+    # which raises its error: a pickle sent down a pipe would be a second
+    # error path, with a traceback cut at the parent
+    assert channel_uses((PACKAGE / "inference.py").read_text()) == []
 
 
 def test_import_loads_no_process_pool():
