@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .group import (
     log_likelihood,
     subject_stack,
 )
-from .inference import bonferroni_floor, check_alpha, score_subjects
+from .inference import bonferroni_floor, check_alpha, degenerate_floor, score_subjects
 from .simulate import SimConfig, cell_seed, roc_experiment
 
 _ERRORS = (SpdconnError, OSError)
@@ -67,30 +68,43 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _warn_if_bonferroni_cannot_reject(n_pairs: int, m: int, alpha: float):
+def _warn_if_no_pair_can_be_significant(n_pairs: int, s_count: int, m: int, alpha: float):
     """Say on stderr when no pair can be significant after Bonferroni
-    correction at this ``m``, naming the smallest ``m`` that can be."""
+    correction, naming the smallest control count and the smallest ``m``
+    that can be, for each of the two that falls short."""
+    reasons = []
+    share = degenerate_floor(s_count)
+    if n_pairs * share >= alpha:
+        # the share falls to 0.0 as s grows, so the search ends
+        enough = next(s for s in itertools.count(s_count + 1)
+                      if n_pairs * degenerate_floor(s) < alpha)
+        reasons.append(
+            f"with {s_count} controls, about {share:.3g} of the null rows resample "
+            f"one control and exceed every statistic, so the smallest "
+            f"Bonferroni-corrected p-value over {n_pairs} pairs is about "
+            f"{min(1.0, n_pairs * share):.6g}, not below alpha {alpha}; "
+            f"use {enough} controls or more"
+        )
     floor = bonferroni_floor(n_pairs, m)
-    if floor < alpha:  # a report's own test, p_corrected < alpha
-        return
-    # the smallest m + 1 > P / alpha, found by bisection with the same
-    # floating-point test, which holds for every m above one that passes;
-    # m + 1.0 overflows beyond the largest float
-    low, high = 1, int(sys.float_info.max)
-    while low < high:
-        mid = (low + high) // 2
-        if bonferroni_floor(n_pairs, mid) < alpha:
-            high = mid
-        else:
-            low = mid + 1
-    reachable = bonferroni_floor(n_pairs, low) < alpha
-    advice = f"use --m {low} or more" if reachable else "no --m can reach it"
-    print(
-        f"warning: no pair can be significant: the smallest Bonferroni-corrected "
-        f"p-value over {n_pairs} pairs with --m {m} is {floor:.6g}, not below "
-        f"alpha {alpha}; {advice}",
-        file=sys.stderr,
-    )
+    if floor >= alpha:  # a report's own test is p_corrected < alpha
+        # the smallest m + 1 > P / alpha, found by bisection with the same
+        # floating-point test, which holds for every m above one that
+        # passes; m + 1.0 overflows beyond the largest float
+        low, high = 1, int(sys.float_info.max)
+        while low < high:
+            mid = (low + high) // 2
+            if bonferroni_floor(n_pairs, mid) < alpha:
+                high = mid
+            else:
+                low = mid + 1
+        reachable = bonferroni_floor(n_pairs, low) < alpha
+        advice = f"use --m {low} or more" if reachable else "no --m can reach it"
+        reasons.append(
+            f"the smallest Bonferroni-corrected p-value over {n_pairs} pairs with "
+            f"--m {m} is {floor:.6g}, not below alpha {alpha}; {advice}"
+        )
+    if reasons:
+        print("warning: no pair can be significant: " + "; and ".join(reasons), file=sys.stderr)
 
 
 def cmd_test(args) -> int:
@@ -102,7 +116,7 @@ def cmd_test(args) -> int:
     controls, names = as_correlation_matrices(_load_series(args.controls))
     n = controls.shape[-1]
     patient = subject_stack([sio.read_time_series(args.patient)], n, names)
-    _warn_if_bonferroni_cannot_reject(pair_count(n), args.m, args.alpha)
+    _warn_if_no_pair_can_be_significant(pair_count(n), len(controls), args.m, args.alpha)
     scores = score_subjects(
         controls, patient, args.m, args.seed, parametrization=args.parametrization
     )

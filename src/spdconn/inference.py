@@ -81,25 +81,27 @@ def t_statistic(controls, patient_value):
     ``(patient - mean(controls)) / (sd(controls) * sqrt(1 + 1/S))`` with the
     unbiased (1/(S-1)) standard deviation, floored at ``SD_FLOOR``.
     ``controls`` is ``(S,)`` or ``(S, P)`` with one column per coordinate;
-    ``patient_value`` broadcasts against a control row.
+    ``patient_value`` broadcasts against a control row.  The moments are
+    summed over the controls by ``_sum_in_order``, so their bits do not
+    depend on the memory layout.
     """
     c = np.asarray(controls, dtype=np.float64)
     if c.ndim not in (1, 2) or c.shape[0] < 2:
         raise InvalidInputError("need at least 2 control values")
-    return _t_rows(c, patient_value, np.empty_like(c))
+    s_count = c.shape[0]
+    mean = _sum_in_order(c) / s_count
+    deviations = c - mean
+    deviations *= deviations
+    return _t_rows(mean, _sum_in_order(deviations), patient_value, s_count)
 
 
-def _t_rows(controls, value, scratch):
-    """``t_statistic`` of ``value`` against ``controls``, summed over the
-    first axis by ``_sum_in_order``, so its bits do not depend on the
-    memory layout; the squared deviations are written into ``scratch``,
-    which may be ``controls`` itself."""
-    s_count = controls.shape[0]
-    mu = _sum_in_order(controls) / s_count
-    np.subtract(controls, mu, out=scratch)
-    scratch *= scratch
-    sd = np.sqrt(_sum_in_order(scratch) / (s_count - 1))
-    return (value - mu) / (np.maximum(sd, SD_FLOOR) * math.sqrt(1.0 + 1.0 / s_count))
+def _t_rows(mean, squares, value, s_count: int):
+    """The statistic of ``value`` against ``s_count`` controls whose mean
+    is ``mean`` and whose squared deviations from it sum to ``squares``:
+    the unbiased standard deviation is floored at ``SD_FLOOR`` and scaled
+    by ``sqrt(1 + 1/S)``, whoever summed the moments."""
+    sd = np.sqrt(squares / (s_count - 1))
+    return (value - mean) / (np.maximum(sd, SD_FLOOR) * math.sqrt(1.0 + 1.0 / s_count))
 
 
 # Null columns per block of ``_count_below``: its one temporary that grows
@@ -297,10 +299,11 @@ class SubjectScores:
 
 _FIT_FAILURES = (ConvergenceError, NearSingularError, np.linalg.LinAlgError)
 
-# Iterations per block of the flat null: enough to amortize the per-block
-# numpy calls, small enough that the block's temporaries stay negligible
-# next to the (m, P) result.
-_FLAT_BLOCK = 16
+# Iterations per block of the flat null, one pair of matrix products each.
+# Blocks start at multiples of it in ``k`` and every product has this many
+# rows, so a row's bits do not depend on the range that holds it: a 1-row
+# product takes another BLAS kernel.  It divides ``_DRAW_CHUNK`` and 2**32.
+_FLAT_BLOCK = 64
 
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
@@ -471,27 +474,91 @@ def _refit_row(model: GroupModel, mats, left: int, pick) -> np.ndarray:
     return _statistics(fit_stack(mats[pick], start=(model.frame, pick)), mats[left])
 
 
+def _flat_rows(resid, lefts, picks, out, offset: int):
+    """Write the flat null rows of the resamples ``(lefts, picks)``, a whole
+    number of ``_FLAT_BLOCK`` iterations, into ``out``, whose rows are those
+    of resamples ``offset`` to ``offset + len(out)``.
+
+    A flat surrogate's residuals are its picked rows of the controls'
+    ``resid`` minus their mean.  With ``c[s]`` the times control ``s`` is
+    picked, that mean is ``c @ resid / S``, and the squared deviations from
+    it sum to ``sum over i < j of c[i] c[j] (resid[i] - resid[j])**2 / S``:
+    non-negative terms, so nothing cancels, where the one-pass
+    ``c @ resid**2 - S mean**2`` can lose every digit, and a resample of
+    one control gets exactly 0.  Both are matrix products per block of
+    ``_FLAT_BLOCK`` iterations.  The table of squared gaps holds at most
+    ``4 S`` pairs at a time, ``4 S P`` floats, a quarter of what gathering
+    16 resamples took, and ``out`` sums the products of its parts in order
+    before it takes the statistics.
+    """
+    rows, s_count = picks.shape
+    # counts[q, s, r]: how often resample q * _FLAT_BLOCK + r picks control s
+    quotient, within = np.divmod(np.arange(rows)[:, None], _FLAT_BLOCK)
+    index = ((quotient * s_count + picks) * _FLAT_BLOCK + within).ravel()
+    counts = np.bincount(index, minlength=rows * s_count).astype(np.float64)
+    counts = counts.reshape(-1, s_count, _FLAT_BLOCK)
+    # each block's first resample, and the resamples lo <= k < hi it keeps
+    stop = offset + len(out)
+    spans = [(b, max(b, offset), min(b + _FLAT_BLOCK, stop)) for b in range(0, rows, _FLAT_BLOCK)]
+    limit = min(4 * s_count, s_count * (s_count - 1) // 2)
+    table, weights = np.empty((limit, resid.shape[1])), np.empty((limit, _FLAT_BLOCK))
+    out[:] = 0.0
+    for firsts in _pair_blocks(s_count, limit):
+        gaps = _pair_table(np.subtract, resid, firsts, table)
+        gaps *= gaps
+        for block, (b, lo, hi) in zip(counts, spans):
+            squares = _pair_table(np.multiply, block, firsts, weights).T @ gaps
+            out[lo - offset:hi - offset] += squares[lo - b:hi - b]
+    for block, (b, lo, hi) in zip(counts, spans):
+        mean = block.T @ resid / s_count
+        kept = out[lo - offset:hi - offset]
+        kept[:] = _t_rows(mean[lo - b:hi - b], kept / s_count, resid[lefts[lo:hi]], s_count)
+
+
+def _pair_blocks(s_count: int, limit: int):
+    """The first controls ``i`` of the pairs ``i < j`` of ``s_count``
+    controls, in ranges that each hold at most ``limit >= s_count - 1``
+    pairs."""
+    blocks, size = [[]], 0
+    for i in range(s_count - 1):
+        if size + s_count - 1 - i > limit:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(i)
+        size += s_count - 1 - i
+    return blocks
+
+
+def _pair_table(ufunc, rows, firsts, out):
+    """``ufunc(rows[j], rows[i])`` for the pairs ``i < j`` of ``rows``
+    with ``i`` in ``firsts``, one a row, written into the first rows of
+    ``out`` in ``np.triu_indices`` order; returns those rows."""
+    p = 0
+    for i in firsts:
+        ufunc(rows[i + 1:], rows[i], out=out[p:p + len(rows) - 1 - i])
+        p += len(rows) - 1 - i
+    return out[:p]
+
+
 def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: int) -> int:
     """Write the null rows of iterations ``start <= k < start + len(out)``
     into ``out``, a view of the null, from one ``_resample_range`` call;
     returns the number of failed fits.
 
-    A flat surrogate's residuals are its drawn rows of the controls'
-    ``resid`` minus their mean, so row ``k`` is the statistic of
-    ``resid[left]`` against its drawn rows, computed in their gathered
-    block; ``_t_rows`` sums row by row, so a row does not depend on its
-    block.  A flat row cannot fail.  A tangent row is ``_refit_row``'s; a
-    failed fit is retried with the next resample of ``_resamples``, one
-    stream per retried ``k``, and failing ``retry_cap`` times in a row
-    raises, naming ``k``.
+    A flat row is ``_flat_rows``'; it cannot fail.  The flat draws cover
+    the whole ``_FLAT_BLOCK`` blocks that hold the range, and rows outside
+    it are computed and dropped, so a row does not depend on its range.  A
+    tangent row is ``_refit_row``'s; a failed fit is retried with the next
+    resample of ``_resamples``, one stream per retried ``k``, and failing
+    ``retry_cap`` times in a row raises, naming ``k``.
     """
-    s_count, n_pairs = mats.shape[0], out.shape[1]
-    lefts, picks = _resample_range(seed, start, start + len(out), s_count)
-    if model.parametrization == FLAT:
-        resid = model.residuals[:, :n_pairs]
-        for b in range(0, len(out), _FLAT_BLOCK):
-            drawn = resid[picks[b:b + _FLAT_BLOCK].T]  # (S, block, P)
-            out[b:b + _FLAT_BLOCK] = _t_rows(drawn, resid[lefts[b:b + _FLAT_BLOCK]], drawn)
+    s_count, n_pairs, stop = mats.shape[0], out.shape[1], start + len(out)
+    flat = model.parametrization == FLAT
+    begin = start - start % _FLAT_BLOCK if flat else start
+    end = -(-stop // _FLAT_BLOCK) * _FLAT_BLOCK if flat else stop
+    lefts, picks = _resample_range(seed, begin, end, s_count)
+    if flat:
+        _flat_rows(model.residuals[:, :n_pairs], lefts, picks, out, start - begin)
         return 0
     n_failures = 0
     for row, first in enumerate(zip(lefts, picks)):
@@ -514,19 +581,39 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _cgroup_cpu_max() -> str:
+    """The text of this process's cgroup v2 ``cpu.max``, ``"<quota>
+    <period>"`` or ``"max <period>"``, or ``""`` where there is none to
+    read."""
+    try:
+        with open("/proc/self/cgroup") as handle:
+            path = next((line[3:].strip() for line in handle if line.startswith("0::")), None)
+        if path is None:
+            return ""
+        with open(os.path.join("/sys/fs/cgroup", path.lstrip("/"), "cpu.max")) as handle:
+            return handle.read()
+    except OSError:
+        return ""
+
+
 def _worker_count(m: int) -> int:
     """Processes to run ``m`` bootstrap iterations on: the usable cores
     over the BLAS threads each process runs, at least 1 and at most ``m``.
 
-    The BLAS thread count is the largest that ``_BLAS_THREAD_VARIABLES``
-    declare; where none does, BLAS runs a thread per usable core, so one
-    process runs.  So does a platform that cannot fork or report its
-    usable cores, and a process where another Python thread runs, which a
-    forked child would not have.
+    The usable cores are those of the affinity mask, and no more than the
+    whole CPUs of a cgroup v2 CPU quota, where one is set.  The BLAS thread
+    count is the largest that ``_BLAS_THREAD_VARIABLES`` declare; where
+    none does, BLAS runs a thread per usable core, so one process runs.
+    So does a platform that cannot fork or report its usable cores, and a
+    process where another Python thread runs, which a forked child would
+    not have.
     """
     if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cores = len(os.sched_getaffinity(0))
+    quota, _, period = _cgroup_cpu_max().strip().partition(" ")
+    if quota.isdecimal() and period.isdecimal() and int(period) > 0:
+        cores = min(cores, max(1, int(quota) // int(period)))
     declared = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
     blas = max((int(v) for v in declared if v.isdecimal() and int(v) > 0), default=cores)
     return max(1, min(m, cores // blas))
@@ -673,9 +760,10 @@ def build_null(
     With very few controls, a resample can draw one control ``S`` times.
     Its spread is zero, its standard deviation is floored at ``SD_FLOOR``,
     and its null row is about 1e11 in every pair.  This happens with
-    probability ``(S - 1) ** (1 - S)``: 0.25 at ``S = 3``, 0.037 at
-    ``S = 4`` and 0.004 at ``S = 5``.  Such rows exceed any observed
-    statistic, so they bound the smallest reachable p-value from below.
+    probability ``degenerate_floor(S) = (S - 1) ** (1 - S)``: 0.25 at
+    ``S = 3``, 0.037 at ``S = 4`` and 0.004 at ``S = 5``.  Such rows exceed
+    any observed statistic, so they bound the smallest reachable p-value
+    from below.
 
     Raises
     ------
@@ -746,6 +834,16 @@ def bonferroni_floor(n_pairs: int, m: int) -> float:
     be significant at ``alpha`` only when this is below ``alpha``, that is
     when ``m + 1 > P / alpha``."""
     return float(_bonferroni(_add_one(m, m), n_pairs))
+
+
+def degenerate_floor(s_count: int) -> float:
+    """The expected share of null rows whose resample picks one control
+    ``S`` times, ``(S - 1) ** (1 - S)``: such a resample has no spread, its
+    standard deviation is floored at ``SD_FLOOR``, and its row, about 1e11
+    in every pair, exceeds any observed statistic.  So raw p-values do not
+    fall much below this share, and over ``P`` pairs a Bonferroni-corrected
+    one can be below ``alpha`` only when ``P`` times it is."""
+    return float((s_count - 1) ** (1 - s_count))
 
 
 def check_alpha(alpha: float):

@@ -1,11 +1,15 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
 import traceback
+import tracemalloc
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +36,9 @@ from spdconn import (
 from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
-    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, _null_chunk, _refit_row, _resample_range,
+    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, SD_FLOOR, _null_chunk, _refit_row, _resample_range,
     _resample_row, _resamples, _row_values, _statistics, _streams, bonferroni_floor, check_alpha,
-    score_subjects,
+    degenerate_floor, score_subjects,
 )
 from golden import CASES, case_inputs
 from test_group import cold_frechet, spy_exit_bounds
@@ -646,6 +650,88 @@ class TestFlatNull:
         assert np.array_equal(reference[:, constant], null.values[:, constant])
 
 
+    @staticmethod
+    def clustered_mats():
+        """Four SPD controls, n=3.  In pairs (1, 0) and (2, 1) three
+        controls lie within 0.05 of each other and the fourth 2 away, so a
+        resample of the three has a mean far from the group's next to its
+        spread; pair (2, 0) is unremarkable."""
+        mats = np.tile(10.0 * np.eye(3), (4, 1, 1))
+        cluster = [1.0, 1.02, 1.05]
+        for (i, j), values in {(1, 0): cluster + [-1.0], (2, 0): [0.3141, -0.1732, 0.5386, 0.0717],
+                               (2, 1): [-1.0] + cluster}.items():
+            mats[:, i, j] = mats[:, j, i] = values
+        return mats
+
+    @staticmethod
+    def exact_rows(resid, lefts, picks):
+        """The flat null rows of the resamples ``(lefts, picks)`` against
+        the float residuals ``resid``, from exact rational moments."""
+        s_count = len(resid)
+        rows = []
+        for left, pick in zip(lefts, picks):
+            counts = np.bincount(pick, minlength=s_count).tolist()
+            row = []
+            for column in resid.T:
+                values = [Fraction(float(v)) for v in column]
+                mean = sum(c * v for c, v in zip(counts, values)) / s_count
+                squares = sum(c * (v - mean) ** 2 for c, v in zip(counts, values))
+                gap = values[left] - mean
+                if squares == 0:
+                    row.append(float(gap) / (SD_FLOOR * math.sqrt(1 + 1 / s_count)))
+                else:
+                    t2 = gap**2 * (s_count - 1) / (squares * (1 + Fraction(1, s_count)))
+                    row.append(math.copysign(math.sqrt(t2), gap))
+            rows.append(row)
+        return np.array(rows)
+
+    def test_clustered_controls_defeat_a_one_pass_variance_not_the_null(self):
+        mats, m, seed = self.clustered_mats(), 200, 5
+        null = build_null(mats, m=m, seed=seed, parametrization="flat").values
+        resid = fit_stack(mats, parametrization="flat").residuals[:, :3]
+        lefts, picks = _resample_range(seed, 0, m, 4)
+        exact = self.exact_rows(resid, lefts, picks)
+        reference = np.stack([flat_reference_row(mats, seed, k) for k in range(m)])
+        floored = np.abs(reference) > 1e9  # a resample of one control, as above
+        assert floored.any() and not floored.all()
+        np.testing.assert_allclose(null[~floored], reference[~floored], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(null[floored], reference[floored], rtol=1e-12)
+        np.testing.assert_allclose(null, exact, rtol=1e-13, atol=0)
+        # the textbook one-pass sum of squares misses the same rows by 1e-11
+        counts = np.stack([np.bincount(pick, minlength=4) for pick in picks]).astype(float)
+        mean = counts @ resid / 4
+        one_pass = np.maximum(counts @ resid**2 - 4 * mean**2, 0)
+        t = (resid[lefts] - mean) / (np.maximum(np.sqrt(one_pass / 3), SD_FLOOR) * math.sqrt(1.25))
+        assert np.abs(t - exact)[~floored].max() > 1e-11
+
+    def test_resample_of_one_control_is_floored_exactly(self):
+        mats, m, seed = self.clustered_mats(), 200, 5
+        null = build_null(mats, m=m, seed=seed, parametrization="flat").values
+        resid = fit_stack(mats, parametrization="flat").residuals[:, :3]
+        lefts, picks = _resample_range(seed, 0, m, 4)
+        single = np.flatnonzero((picks == picks[:, :1]).all(axis=1))
+        assert len(single) > 0
+        # its mean, 4 resid[s] / 4, is resid[s] exactly, and its spread is 0
+        expected = (resid[lefts[single]] - resid[picks[single, 0]]) / (SD_FLOOR * math.sqrt(1 + 1 / 4))
+        assert np.array_equal(null[single], expected)
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_memory_of_a_wide_control_group(self):
+        # The gathering flat null this one replaced, which copied each
+        # block's resampled residual rows, peaked at 20,058,556 traced bytes
+        # at these arguments (numpy 2.4.6); the table of squared gaps is
+        # built a few pairs at a time so that this stays below it.
+        cfg = SimConfig(n=33, n_controls=100, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+        controls, _ = sample_population(cfg)
+        tracemalloc.start()
+        try:
+            score_subjects(controls, controls[:3], 2000, 0, parametrization="flat")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20_058_556
+
+
 class TestTestPatient:
     def test_report_contract(self, control_mats):
         null = build_null(control_mats, m=25, seed=1)
@@ -692,6 +778,17 @@ class TestTestPatient:
         assert best == 1.0 / (m + 1)
         floor = min(p.p_corrected for p in report.pairs)
         assert floor == bonferroni_floor(pair_count(8), m) == pair_count(8) / (m + 1)
+
+    def test_degenerate_floor_is_the_share_of_single_control_rows(self):
+        assert (degenerate_floor(3), degenerate_floor(4), degenerate_floor(5)) == (0.25, 1 / 27, 1 / 256)
+        mats, _ = sample_population(SimConfig(n=6, n_controls=3, sigma=0.1, seed=3, k_diffs=2))
+        m, share = 400, degenerate_floor(3)
+        null = build_null(mats, m=m, seed=0, parametrization="flat")
+        single = (np.abs(null.values) > 1e9).all(axis=1)
+        picks = _resample_range(0, 0, m, 3)[1]
+        assert np.array_equal(single, (picks == picks[:, :1]).all(axis=1))
+        # within four binomial standard deviations of m (S - 1) ** (1 - S) = 100
+        assert abs(single.sum() - m * share) <= 4 * math.sqrt(m * share * (1 - share))
 
     def test_bonferroni_floor(self):
         # P / (m + 1), capped at 1; below alpha = 0.05 at P=10 from m = 200 on
@@ -1031,9 +1128,12 @@ class TestWorkers:
             assert_no_child_left()
         return results
 
-    @pytest.mark.parametrize("parametrization, m", [("tangent", 30), ("flat", 2 * _DRAW_CHUNK + 7)])
+    @pytest.mark.parametrize("parametrization, m", [
+        ("tangent", 30), ("flat", 2 * _DRAW_CHUNK + 7), ("flat", 3 * _FLAT_BLOCK + 1),
+    ])
     def test_same_bits_for_any_worker_count_at_n33(self, monkeypatch, parametrization, m):
-        # the roc workloads' population; the flat ranges cross chunk boundaries
+        # the roc workloads' population; the flat ranges cross chunk
+        # boundaries, and start and end inside blocks of _FLAT_BLOCK rows
         cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
         controls, _ = sample_population(cfg)
         subjects, _ = sample_population(cfg, rng=np.random.default_rng(2), size=3)
@@ -1172,3 +1272,40 @@ class TestWorkers:
         assert count(100) == 2
         monkeypatch.delattr(os, "fork")
         assert count(100) == 1
+
+    def test_worker_count_takes_a_cgroup_cpu_quota(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for text, workers in [
+            ("", 4), ("max 100000\n", 4), ("200000 100000\n", 2), ("250000 100000\n", 2),
+            ("50000 100000\n", 1), ("800000 100000\n", 4), ("200000 0\n", 4), ("two 100000\n", 4),
+        ]:
+            monkeypatch.setattr(inference, "_cgroup_cpu_max", lambda: text)
+            assert inference._worker_count(100) == workers, text
+        monkeypatch.undo()
+        assert isinstance(inference._cgroup_cpu_max(), str)  # this process's own, whatever it is
+
+    def test_one_process_while_another_thread_runs(self, control_mats, monkeypatch):
+        # a fork would copy no other thread, and newer Pythons warn on one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+        def no_fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert inference._worker_count(100) == 1
+                null = build_null(control_mats, 12, 0, parametrization="flat")
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert null.values.shape == (12, pair_count(8))

@@ -565,6 +565,35 @@ class TestCliTest:
             f"significant_raw: {report.n_significant(corrected=False)}",
         ]
 
+    @pytest.fixture(scope="class")
+    def fifteen_regions(self, tmp_path_factory):
+        """21 subjects with 15 regions, P=105 pairs: the first 20 are
+        controls, the last is the patient."""
+        root = tmp_path_factory.mktemp("fifteen")
+        paths = []
+        for k, ts in enumerate(sample_time_series(SimConfig(n=15, n_controls=21, sigma=0.05, seed=8), t=60)):
+            paths.append(str(root / f"s{k}.csv"))
+            write_series_csv(paths[-1], ts)
+        return paths
+
+    @pytest.mark.parametrize("s_count, warns", [(4, True), (5, True), (20, False)])
+    def test_warns_when_few_controls_cannot_reject(self, fifteen_regions, tmp_path, capsys, s_count, warns):
+        # a resample of one control happens with probability (S-1)**(1-S),
+        # and 105 times that is below alpha = 0.05 from 6 controls on; m=2100
+        # puts the Bonferroni floor of m below alpha
+        args = [
+            "test", "--controls", *fifteen_regions[:s_count], "--patient", fifteen_regions[-1],
+            "--m", "2100", "--parametrization", "flat", "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        if warns:
+            (line,) = err.splitlines()
+            assert line.startswith(f"warning: no pair can be significant: with {s_count} controls")
+            assert line.endswith("use 6 controls or more")
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize(
         "alpha, advice",
         [

@@ -175,6 +175,16 @@ def test_one_draw_loop_in_inference():
     assert len(call_sites((PACKAGE / "inference.py").read_text(), "_resample_range")) == 1
 
 
+def test_flat_blocks_never_straddle_a_chunk():
+    # the flat null draws whole blocks aligned to multiples of _FLAT_BLOCK
+    # in k: such a block lies inside one draw chunk and on one side of 2**32,
+    # where _resample_range's streams change their seeding
+    from spdconn.inference import _DRAW_CHUNK, _FLAT_BLOCK
+
+    assert _DRAW_CHUNK % _FLAT_BLOCK == 0
+    assert 2**32 % _FLAT_BLOCK == 0
+
+
 def test_each_stream_is_one_generator():
     # _resample_range takes a chunk's first block of its streams and
     # _row_values continues one row's: a third caller, or a _stream_words
@@ -344,8 +354,9 @@ def test_guard_finds_name_readers():
 
 def test_one_statistic_in_inference():
     # subjects, tangent rows and flat rows all take the statistic from
-    # _t_rows; a second function that floors the spread would be a second
-    # copy of it, free to sum in another order
+    # _t_rows, which floors the spread and scales it, whoever sums the
+    # moments; a second function that floors the spread would be a second
+    # copy of it
     assert name_readers((PACKAGE / "inference.py").read_text(), "SD_FLOOR") == ["_t_rows"]
 
 
