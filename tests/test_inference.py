@@ -623,8 +623,9 @@ class TestFlatNull:
 
     @pytest.mark.parametrize(
         "m",
+        # 15, 16, 17 and 33 fall mid-block, short of the first product's rows
         [
-            1, _FLAT_BLOCK - 1, _FLAT_BLOCK, _FLAT_BLOCK + 1, 2 * _FLAT_BLOCK + 1,
+            1, 15, 16, 17, 33, _FLAT_BLOCK - 1, _FLAT_BLOCK, _FLAT_BLOCK + 1, 2 * _FLAT_BLOCK + 1,
             _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1,
         ],
     )
