@@ -65,7 +65,7 @@ def _as_samples(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
         raise InvalidInputError(f"need a (t, n) array with t >= 2, got {v.shape}")
-    return v
+    return TimeSeries(v).values  # refuses non-finite values
 
 
 def residualize_confounds(x: TimeSeries, confounds=None) -> TimeSeries:

@@ -30,14 +30,21 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _check_finite(m):
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix contains non-finite entries")
-
-
-def _check_square(m):
+def _square(m) -> np.ndarray:
+    """``m`` as a float array of non-empty square matrices."""
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvalidInputError(f"matrix must be square and non-empty, got shape {m.shape}")
+    return m
+
+
+def _symmetric(m) -> np.ndarray:
+    """:func:`_square`, symmetrized; checked for non-finite entries after the
+    symmetrization, so an ``m + m.T`` that overflows is refused too."""
+    m = symmetrize(_square(m))
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    return m
 
 
 def validate_spd(m) -> np.ndarray:
@@ -50,10 +57,7 @@ def validate_spd(m) -> np.ndarray:
     NearSingularError
         If the smallest eigenvalue is at most ``SPD_EIG_FLOOR`` times the largest.
     """
-    m = np.asarray(m, dtype=np.float64)
-    _check_square(m)
-    _check_finite(m)
-    m = symmetrize(m)
+    m = _symmetric(m)
     eigvals = np.linalg.eigvalsh(m)
     lo, hi = eigvals.min(axis=-1), eigvals.max(axis=-1)
     bad = (hi <= 0) | (lo <= SPD_EIG_FLOOR * hi)
@@ -97,8 +101,7 @@ def clip_spd(m) -> tuple[np.ndarray, bool | np.ndarray]:
     whether any eigenvalue was raised; a stack is clipped matrix by matrix
     and gets one flag per matrix.
     """
-    m = symmetrize(m)
-    _check_finite(m)
+    m = _symmetric(m)
     eigvals, eigvecs = eig_decompose(m)
     hi = eigvals.max(axis=-1, keepdims=True)
     if np.any(hi <= 0):
@@ -153,6 +156,12 @@ def _exp(eigvals):
     return np.exp(eigvals)
 
 
+def _log(eigvals):
+    if eigvals.min() <= 0:
+        raise NearSingularError(f"whitened target has an eigenvalue {eigvals.min():.3e} <= 0")
+    return np.log(eigvals)
+
+
 def spd_logm(a) -> np.ndarray:
     """Principal matrix logarithm of an SPD matrix.
 
@@ -167,10 +176,7 @@ def spd_expm(w) -> np.ndarray:
     Raises ``NumericRangeError`` when an eigenvalue is large enough to
     overflow ``float64``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    _check_square(w)
-    _check_finite(w)
-    return eig_apply(symmetrize(w), _exp)
+    return eig_apply(_symmetric(w), _exp)
 
 
 def spd_sqrtm(a) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +218,7 @@ def vec_embed(w) -> np.ndarray:
     Euclidean norm of the coordinates equals the Frobenius norm of the
     matrix.  Accepts stacks ``(..., n, n)`` and returns ``(..., n(n+1)/2)``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    _check_square(w)
+    w = _square(w)
     n = w.shape[-1]
     index, scale = _embedding(n)
     return w.reshape(w.shape[:-2] + (n * n,))[..., index] * scale
@@ -240,15 +245,10 @@ def vec_unembed(v, n: int) -> np.ndarray:
         raise InvalidInputError(
             f"coordinate vector has length {v.shape[-1]}, expected {d} for n={n}"
         )
-    i, j = tril_pairs(n)
-    k = len(i)
-    w = np.zeros(v.shape[:-1] + (n, n), dtype=np.float64)
-    off = v[..., :k] / _SQRT2
-    w[..., i, j] = off
-    w[..., j, i] = off
-    diag = np.arange(n)
-    w[..., diag, diag] = v[..., k:]
-    return w
+    index, scale = _embedding(n)
+    w = np.zeros(v.shape[:-1] + (n * n,))
+    w[..., index] = w[..., index % n * n + index // n] = v / scale
+    return w.reshape(v.shape[:-1] + (n, n))
 
 
 def tangent_map(base, target) -> np.ndarray:
@@ -256,16 +256,18 @@ def tangent_map(base, target) -> np.ndarray:
 
     Computes ``logm(base ** -1/2 @ target @ base ** -1/2)``, i.e. the
     deviation of ``target`` from ``base`` after whitening by the base, as a
-    symmetric matrix.
+    symmetric matrix.  The eigenvalue floor of :func:`validate_spd` holds
+    for the two inputs only: the whitened target, whose condition number
+    can reach the product of theirs, is refused only for an eigenvalue
+    at or below zero.
     """
-    base = validate_spd(base)
-    target = validate_spd(target)
-    if base.shape != target.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: base {base.shape} vs target {target.shape}"
-        )
     _, inv_root = spd_sqrtm(base)
-    return spd_logm(whiten(inv_root, target))
+    target = validate_spd(target)
+    if inv_root.shape != target.shape:
+        raise InvalidInputError(
+            f"dimension mismatch: base {inv_root.shape} vs target {target.shape}"
+        )
+    return eig_apply(whiten(inv_root, target), _log)
 
 
 def tangent_inverse_map(base, w) -> np.ndarray:
@@ -274,13 +276,12 @@ def tangent_inverse_map(base, w) -> np.ndarray:
     Exact inverse of :func:`tangent_map`:
     ``base ** 1/2 @ expm(w) @ base ** 1/2``.
     """
-    base = validate_spd(base)
-    w = np.asarray(w, dtype=np.float64)
-    if base.shape != w.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: base {base.shape} vs tangent {w.shape}"
-        )
     root, _ = spd_sqrtm(base)
+    w = np.asarray(w, dtype=np.float64)
+    if root.shape != w.shape:
+        raise InvalidInputError(
+            f"dimension mismatch: base {root.shape} vs tangent {w.shape}"
+        )
     return symmetrize(root @ spd_expm(w) @ root)
 
 

@@ -246,8 +246,14 @@ def roc_experiment(
 
     Returns a `RocCurve`; with ``return_details=True`` also returns a dict
     with the pooled scores, labels, and the mean per-patient count of pairs
-    with raw p below 0.05.
+    with raw p below 0.05.  Raises ``ConfigurationError`` before any draw
+    when ``k_diffs`` leaves no pair without a difference.
     """
+    if cfg.k_diffs >= pair_count(cfg.n):
+        raise ConfigurationError(
+            f"k_diffs must be at most {pair_count(cfg.n) - 1} for n={cfg.n}: "
+            "roc_experiment needs a pair without a difference"
+        )
     seq = np.random.SeedSequence(cfg.seed)
     ss_controls, ss_patients, ss_null = seq.spawn(3)
     controls, _ = sample_population(cfg, rng=np.random.default_rng(ss_controls))

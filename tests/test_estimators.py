@@ -123,6 +123,16 @@ def test_estimators_refuse_what_is_not_t_by_n(estimator, shape):
         estimator(np.ones(shape))
 
 
+@pytest.mark.parametrize("estimator", [sample_covariance, ledoit_wolf])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_estimators_refuse_a_non_finite_array(estimator, value):
+    # as a TimeSeries with the same values is refused
+    x = np.random.default_rng(0).standard_normal((10, 3))
+    x[4, 1] = value
+    with pytest.raises(InvalidInputError, match="^time series contains non-finite values$"):
+        estimator(x)
+
+
 class TestSampleCovariance:
     def test_constant_series_is_zero(self):
         assert np.allclose(sample_covariance(np.ones((5, 3)) * 2.0), 0.0)

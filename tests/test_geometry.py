@@ -22,7 +22,7 @@ from spdconn import (
     vec_embed,
     vec_unembed,
 )
-from helpers import random_invertible, random_spd, random_symmetric
+from helpers import random_invertible, random_orthogonal, random_spd, random_symmetric
 
 
 def rel_err(a, b):
@@ -150,6 +150,27 @@ class TestVecEmbedding:
         assert v.shape == (2, 6)
         assert np.allclose(vec_unembed(v, 3), stack)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 33])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["vector", "stack", "stack2d"])
+    def test_unembed_keeps_the_bits_of_the_pair_by_pair_formula(self, n, lead):
+        def pair_by_pair(v, n):
+            i, j = np.tril_indices(n, -1)
+            k = len(i)
+            w = np.zeros(v.shape[:-1] + (n, n))
+            off = v[..., :k] / np.sqrt(2.0)
+            w[..., i, j] = off
+            w[..., j, i] = off
+            w[..., np.arange(n), np.arange(n)] = v[..., k:]
+            return w
+
+        v = np.random.default_rng(n).standard_normal(lead + (vec_dim(n),))
+        v[..., ::3] = 0.0
+        v[..., 1::4] = -0.0
+        out = vec_unembed(v, n)
+        assert out.shape == lead + (n, n)
+        # tobytes tells -0.0 from +0.0
+        assert out.tobytes() == pair_by_pair(v, n).tobytes()
+
 
 class TestTangentMaps:
     def test_map_to_self_is_zero(self, rng):
@@ -185,6 +206,71 @@ class TestTangentMaps:
             tangent_map(random_spd(rng, 3), random_spd(rng, 4))
         with pytest.raises(InvalidInputError, match=r"dimension mismatch: base \(3, 3\) vs tangent \(2, 2\)"):
             tangent_inverse_map(random_spd(rng, 3), np.zeros((2, 2)))
+
+    def test_errors_name_the_base_then_the_target_then_the_mismatch(self):
+        bad_base, bad_target = np.diag([1.0, np.nan]), np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            tangent_map(bad_base, bad_target)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            tangent_inverse_map(bad_base, np.zeros((3, 3)))
+        with pytest.raises(NearSingularError):
+            tangent_map(np.eye(2), bad_target)
+
+    def test_whitened_target_is_not_held_to_the_floor(self):
+        # each input passes validate_spd, their whitened quotient has
+        # condition number 1e12
+        a, b = np.diag([1.0, 1e-6]), np.diag([1e-6, 1.0])
+        expected = np.sqrt(2.0) * np.log(1e6)
+        assert abs(geodesic_distance(a, b) - expected) <= 1e-12 * expected
+        np.testing.assert_allclose(
+            tangent_map(a, b), np.diag([-1.0, 1.0]) * np.log(1e6), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 33])
+    def test_rotated_pairs_beyond_the_floor(self, n):
+        e = np.logspace(0, -6, n)
+        expected = np.linalg.norm(np.log(e[::-1] / e))
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            q = random_orthogonal(rng, n)
+            a, b = (q * e) @ q.T, (q * e[::-1]) @ q.T
+            assert abs(geodesic_distance(a, b) - expected) <= 1e-4 * expected
+
+    def test_whitened_target_rounded_below_zero_is_refused(self):
+        # inputs at condition 5e9 each; in about half of these pairs the
+        # whitened target's smallest eigenvalue rounds to a negative number
+        rng = np.random.default_rng(0)
+        e = np.array([1.0, 0.5, 2e-10])
+        refused = 0
+        for _ in range(20):
+            q, r = random_orthogonal(rng, 3), random_orthogonal(rng, 3)
+            try:
+                out = tangent_map((q * e) @ q.T, (r * e[::-1]) @ r.T)
+            except NearSingularError as exc:
+                assert str(exc).startswith("whitened target has an eigenvalue -")
+                refused += 1
+            else:
+                assert np.all(np.isfinite(out))
+        assert refused > 0
+
+    @pytest.mark.parametrize("fn, eigvalsh_calls, eigh_calls", [
+        (tangent_map, 2, 2), (tangent_inverse_map, 1, 2),
+    ], ids=["tangent_map", "tangent_inverse_map"])
+    def test_decomposition_counts(self, rng, monkeypatch, fn, eigvalsh_calls, eigh_calls):
+        # the base is checked once, in spd_sqrtm, and the whitened target
+        # is decomposed once
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+
+            def counting(a, solver=solver, name=name):
+                calls.append(name)
+                return solver(a)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        second = random_spd(rng, 4) if fn is tangent_map else random_symmetric(rng, 4)
+        fn(random_spd(rng, 4), second)
+        assert (calls.count("eigvalsh"), calls.count("eigh")) == (eigvalsh_calls, eigh_calls)
 
 
 class TestGeodesicDistance:
@@ -243,6 +329,18 @@ class TestValidation:
             validate_spd(np.zeros((0, 0)))
         with pytest.raises(InvalidInputError, match="non-empty"):
             frechet_mean([np.zeros((0, 0))] * 2)
+
+    @pytest.mark.parametrize("fn", [validate_spd, spd_expm, clip_spd])
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+    def test_entries_refuse_what_is_not_a_square_matrix(self, fn, shape):
+        with pytest.raises(InvalidInputError, match="matrix must be square and non-empty"):
+            fn(np.ones(shape))
+
+    @pytest.mark.parametrize("fn", [validate_spd, spd_expm, clip_spd])
+    def test_entries_refuse_a_matrix_whose_symmetrization_overflows(self, fn):
+        m = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="non-finite entries"):
+            fn(m)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
     def test_stack_items_must_be_matrices(self, shape):

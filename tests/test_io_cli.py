@@ -848,6 +848,17 @@ class TestCliSimulate:
         assert experiments == []
         assert not out.exists()
 
+    def test_every_pair_injected_fails_without_a_table(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        args = ["simulate", "--n", "3", "--n-controls", "6", "--k-diffs", "3", "--m", "20",
+                "--n-patients", "2", "--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: k_diffs must be at most 2 for n=3: ")
+        assert not out.exists()
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 6, "n_controls": 8, "bogus": 1}))

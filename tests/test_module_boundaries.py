@@ -3,9 +3,9 @@
 generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
 each bootstrap stream once, runs one bootstrap loop with one abort, computes
 the statistic in one function, subjects are paired with the controls in one
-place, only the bootstrap forks, its workers send nothing through a pickle
-or a pipe, ``import spdconn`` loads no process pool,
-every function the benchmark's tracer relies on stays a public function,
+place, matrices are checked in one place, only the bootstrap forks, its
+workers send nothing through a pickle or a pipe, ``import spdconn`` loads no
+process pool, every function the benchmark's tracer relies on stays a public function,
 and the public API is the listed one."""
 
 import ast
@@ -237,6 +237,18 @@ def test_one_subject_check_in_the_package():
 
     assert modules("differ from the controls'") == ["group.py"]
     assert set(modules("subjects have shape")) == {"group.py"}
+
+
+def test_one_matrix_check_in_the_package():
+    # every geometry entry checks its matrices through _square and
+    # _symmetric; a hand-written copy could drift from them, as one that
+    # lacked the square test did
+    def sites(text):
+        return [path.name for path in sorted(PACKAGE.glob("*.py"))
+                for _ in raise_sites(path.read_text(), text)]
+
+    assert sites("must be square and non-empty") == ["geometry.py"]
+    assert sites("non-finite entries") == ["geometry.py"]
 
 
 FORKS = ("fork", "forkpty", "Process", "ProcessPoolExecutor", "ThreadPoolExecutor")

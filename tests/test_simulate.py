@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spdconn import (
     vec_dim,
     vec_embed,
 )
+from spdconn import simulate
 
 
 class TestConfig:
@@ -197,6 +199,26 @@ class TestRocExperiment:
         assert details["scores"].shape == (4, pair_count(8))
         assert details["labels"].sum() == 4 * 4
         assert 0.0 <= details["mean_raw_detections"] <= pair_count(8)
+        assert 0.0 <= curve.auc <= 1.0
+
+    @pytest.mark.parametrize("n, k_diffs", [(2, 1), (3, 3), (5, 10)])
+    def test_refuses_a_config_with_every_pair_injected(self, monkeypatch, n, k_diffs):
+        # no unlabelled score would leave the false positive rate undefined
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a population")
+
+        monkeypatch.setattr(simulate, "sample_population", no_draw)
+        cfg = SimConfig(n=n, n_controls=6, k_diffs=k_diffs, m=20, n_patients=2)
+        message = f"^k_diffs must be at most {pair_count(n) - 1} for n={n}: "
+        with pytest.raises(ConfigurationError, match=message):
+            roc_experiment(cfg)
+
+    def test_one_pair_left_without_a_difference_is_enough(self):
+        cfg = SimConfig(n=3, n_controls=6, k_diffs=2, m=20, n_patients=2, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = roc_experiment(cfg)
+        assert np.all(np.isfinite(curve.points))
         assert 0.0 <= curve.auc <= 1.0
 
     def test_scoring_memory_holds_no_copy_of_the_null(self):
