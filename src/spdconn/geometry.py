@@ -40,8 +40,11 @@ def _square(m) -> np.ndarray:
 
 def _symmetric(m) -> np.ndarray:
     """:func:`_square`, symmetrized; checked for non-finite entries after the
-    symmetrization, so an ``m + m.T`` that overflows is refused too."""
-    m = symmetrize(_square(m))
+    symmetrization, so an ``m + m.T`` that overflows is refused too, with no
+    numpy warning before the error."""
+    m = _square(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = symmetrize(m)
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix contains non-finite entries")
     return m

@@ -68,7 +68,7 @@ SD_FLOOR = 1e-12
 
 def _sum_in_order(rows: np.ndarray) -> np.ndarray:
     """Sum over the first axis, adding the rows one after another."""
-    total = rows[0].copy()
+    total = np.array(rows[0])
     for row in rows[1:]:
         total += row
     return total
@@ -95,13 +95,20 @@ def t_statistic(controls, patient_value):
     return _t_rows(mean, _sum_in_order(deviations), patient_value, s_count)
 
 
-def _t_rows(mean, squares, value, s_count: int):
+def _t_rows(mean, squares, value, s_count: int, out=None):
     """The statistic of ``value`` against ``s_count`` controls whose mean
     is ``mean`` and whose squared deviations from it sum to ``squares``:
     the unbiased standard deviation is floored at ``SD_FLOOR`` and scaled
-    by ``sqrt(1 + 1/S)``, whoever summed the moments."""
-    sd = np.sqrt(squares / (s_count - 1))
-    return (value - mean) / (np.maximum(sd, SD_FLOOR) * math.sqrt(1.0 + 1.0 / s_count))
+    by ``sqrt(1 + 1/S)``, whoever summed the moments.
+
+    ``squares``, an array its caller no longer needs, is overwritten with
+    the scaled spread.  The statistic is written into ``out`` where one is
+    given, an array apart from ``squares``; then nothing is allocated.
+    """
+    sd = np.sqrt(np.divide(squares, s_count - 1, out=squares), out=squares)
+    gap = np.subtract(value, mean, out=out)
+    np.multiply(np.maximum(sd, SD_FLOOR, out=sd), math.sqrt(1.0 + 1.0 / s_count), out=sd)
+    return np.divide(gap, sd, out=out)
 
 
 # Null columns per block of ``_count_below``: its one temporary that grows
@@ -474,10 +481,25 @@ def _refit_row(model: GroupModel, mats, left: int, pick) -> np.ndarray:
     return _statistics(fit_stack(mats[pick], start=(model.frame, pick)), mats[left])
 
 
-def _flat_rows(resid, lefts, picks, out, offset: int):
+def _flat_work(s_count: int, n_pairs: int, length: int):
+    """The work arrays of ``_flat_rows`` for the chunks of a range of
+    ``length`` iterations, allocated once so that no chunk or block of
+    ``_FLAT_BLOCK`` iterations allocates its own: the counts of a chunk's
+    resamples, the table of squared gaps, its weights, and one
+    ``(_FLAT_BLOCK, P)`` array each for a product, the means and the
+    left-out rows.  A chunk covers the whole blocks that hold it, at most
+    one more block on each side, and never more than ``_DRAW_CHUNK`` rows."""
+    rows = min(_DRAW_CHUNK, (length // _FLAT_BLOCK + 2) * _FLAT_BLOCK)
+    limit = min(4 * s_count, s_count * (s_count - 1) // 2)
+    return (np.empty(rows * s_count), np.empty((limit, n_pairs)), np.empty((limit, _FLAT_BLOCK)),
+            np.empty((3, _FLAT_BLOCK, n_pairs)))
+
+
+def _flat_rows(resid, lefts, picks, out, offset: int, work):
     """Write the flat null rows of the resamples ``(lefts, picks)``, a whole
     number of ``_FLAT_BLOCK`` iterations, into ``out``, whose rows are those
-    of resamples ``offset`` to ``offset + len(out)``.
+    of resamples ``offset`` to ``offset + len(out)``, computing them in
+    ``work``, ``_flat_work``'s arrays.
 
     A flat surrogate's residuals are its picked rows of the controls'
     ``resid`` minus their mean.  With ``c[s]`` the times control ``s`` is
@@ -492,27 +514,31 @@ def _flat_rows(resid, lefts, picks, out, offset: int):
     before it takes the statistics.
     """
     rows, s_count = picks.shape
+    counts, table, weights, (product, mean, left_rows) = work
     # counts[q, s, r]: how often resample q * _FLAT_BLOCK + r picks control s
     quotient, within = np.divmod(np.arange(rows)[:, None], _FLAT_BLOCK)
     index = ((quotient * s_count + picks) * _FLAT_BLOCK + within).ravel()
-    counts = np.bincount(index, minlength=rows * s_count).astype(np.float64)
+    counts = counts[:rows * s_count]
+    counts[:] = 0.0
+    np.add.at(counts, index, 1.0)
     counts = counts.reshape(-1, s_count, _FLAT_BLOCK)
     # each block's first resample, and the resamples lo <= k < hi it keeps
     stop = offset + len(out)
     spans = [(b, max(b, offset), min(b + _FLAT_BLOCK, stop)) for b in range(0, rows, _FLAT_BLOCK)]
-    limit = min(4 * s_count, s_count * (s_count - 1) // 2)
-    table, weights = np.empty((limit, resid.shape[1])), np.empty((limit, _FLAT_BLOCK))
     out[:] = 0.0
-    for firsts in _pair_blocks(s_count, limit):
+    for firsts in _pair_blocks(s_count, len(table)):
         gaps = _pair_table(np.subtract, resid, firsts, table)
         gaps *= gaps
         for block, (b, lo, hi) in zip(counts, spans):
-            squares = _pair_table(np.multiply, block, firsts, weights).T @ gaps
-            out[lo - offset:hi - offset] += squares[lo - b:hi - b]
+            np.matmul(_pair_table(np.multiply, block, firsts, weights).T, gaps, out=product)
+            out[lo - offset:hi - offset] += product[lo - b:hi - b]
     for block, (b, lo, hi) in zip(counts, spans):
-        mean = block.T @ resid / s_count
-        kept = out[lo - offset:hi - offset]
-        kept[:] = _t_rows(mean[lo - b:hi - b], kept / s_count, resid[lefts[lo:hi]], s_count)
+        np.matmul(block.T, resid, out=mean)
+        mean /= s_count
+        kept, squares = out[lo - offset:hi - offset], product[:hi - lo]
+        np.divide(kept, s_count, out=squares)
+        np.take(resid, lefts[lo:hi], axis=0, out=left_rows[:hi - lo])
+        _t_rows(mean[lo - b:hi - b], squares, left_rows[:hi - lo], s_count, out=kept)
 
 
 def _pair_blocks(s_count: int, limit: int):
@@ -540,17 +566,18 @@ def _pair_table(ufunc, rows, firsts, out):
     return out[:p]
 
 
-def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: int) -> int:
+def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: int, work) -> int:
     """Write the null rows of iterations ``start <= k < start + len(out)``
     into ``out``, a view of the null, from one ``_resample_range`` call;
     returns the number of failed fits.
 
-    A flat row is ``_flat_rows``'; it cannot fail.  The flat draws cover
+    A flat row is ``_flat_rows``', computed in ``work``, the range's
+    ``_flat_work`` arrays; it cannot fail.  The flat draws cover
     the whole ``_FLAT_BLOCK`` blocks that hold the range, and rows outside
     it are computed and dropped, so a row does not depend on its range.  A
     tangent row is ``_refit_row``'s; a failed fit is retried with the next
     resample of ``_resamples``, one stream per retried ``k``, and failing
-    ``retry_cap`` times in a row raises, naming ``k``.
+    ``retry_cap`` times in a row raises, naming ``k``; it takes no ``work``.
     """
     s_count, n_pairs, stop = mats.shape[0], out.shape[1], start + len(out)
     flat = model.parametrization == FLAT
@@ -558,7 +585,7 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
     end = -(-stop // _FLAT_BLOCK) * _FLAT_BLOCK if flat else stop
     lefts, picks = _resample_range(seed, begin, end, s_count)
     if flat:
-        _flat_rows(model.residuals[:, :n_pairs], lefts, picks, out, start - begin)
+        _flat_rows(model.residuals[:, :n_pairs], lefts, picks, out, start - begin, work)
         return 0
     n_failures = 0
     for row, first in enumerate(zip(lefts, picks)):
@@ -660,10 +687,11 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
         if abs_t is not None:
             result[rank] = 0
             buffer = np.empty((min(stop - start, _DRAW_CHUNK), n_pairs))
+        work = _flat_work(len(mats), n_pairs, stop - start) if model.parametrization == FLAT else None
         edges = [start, *range(start - start % _DRAW_CHUNK + _DRAW_CHUNK, stop, _DRAW_CHUNK), stop]
         for lo, hi in zip(edges, edges[1:]):
             rows = result[lo:hi] if abs_t is None else buffer[:hi - lo]
-            failures[rank] += _null_chunk(model, mats, seed, lo, rows, retry_cap)
+            failures[rank] += _null_chunk(model, mats, seed, lo, rows, retry_cap, work)
             if abs_t is not None:
                 _count_below(abs_t, rows, result[rank])
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -341,6 +343,20 @@ class TestValidation:
         m = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="non-finite entries"):
             fn(m)
+
+    @pytest.mark.parametrize("fn", [validate_spd, spd_expm, clip_spd])
+    @pytest.mark.parametrize("upper, lower", [(1.5e308, 1.5e308), (np.inf, -np.inf)], ids=["overflow", "inf-inf"])
+    def test_entries_refuse_a_non_finite_symmetrization_without_a_warning(self, fn, upper, lower):
+        m = np.array([[1.0, upper], [lower, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-finite entries"):
+                fn(m)
+
+    def test_accepted_matrix_keeps_the_bits_of_its_symmetrization(self, rng):
+        a = random_spd(rng, 6, cond=1e3)
+        a[0, 1] += 1e-9  # not quite symmetric
+        assert validate_spd(a).tobytes() == symmetrize(a).tobytes()
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
     def test_stack_items_must_be_matrices(self, shape):

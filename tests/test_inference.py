@@ -37,8 +37,8 @@ from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
     _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, SD_FLOOR, _null_chunk, _refit_row, _resample_range,
-    _resample_row, _resamples, _row_values, _statistics, _streams, bonferroni_floor, check_alpha,
-    degenerate_floor, score_subjects,
+    _resample_row, _resamples, _row_values, _statistics, _streams, _t_rows, bonferroni_floor,
+    check_alpha, degenerate_floor, score_subjects,
 )
 from golden import CASES, case_inputs
 from test_group import cold_frechet, spy_exit_bounds
@@ -64,6 +64,19 @@ def two_chunk_mats():
 def named_series():
     """Six time series with region names, five regions each."""
     return sample_time_series(SimConfig(n=5, n_controls=6, sigma=0.08, seed=42, k_diffs=3), t=60)
+
+
+def run_script(script: str, path: Path, *args: str, **variables: str) -> Path:
+    """Run ``script`` in a fresh Python process, with ``path`` and ``args``
+    as its arguments and ``variables`` added to this process's
+    environment; returns ``path``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script, str(path), *args], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return path
 
 
 class TestTStatistic:
@@ -103,6 +116,22 @@ class TestTStatistic:
         patient = rng.standard_normal(7)
         columns = [t_statistic(controls[:, k], patient[k]) for k in range(7)]
         np.testing.assert_allclose(t_statistic(controls, patient), columns, rtol=1e-12)
+
+    def test_written_into_an_array_keeps_its_bytes(self, rng):
+        s_count = 20
+        mean, value = rng.normal(size=(2, _FLAT_BLOCK, 37))
+        squares = rng.random((_FLAT_BLOCK, 37))
+        squares[3] = 0.0  # a resample of one control has no spread
+        squares[5, :4] = 1e-30  # a spread below the floor
+        # the formula as it read before it could write into an array
+        formula = (value - mean) / (np.maximum(np.sqrt(squares / (s_count - 1)), SD_FLOOR)
+                                    * math.sqrt(1.0 + 1.0 / s_count))
+        returned = _t_rows(mean, squares.copy(), value, s_count)
+        out = np.full_like(value, np.nan)
+        assert _t_rows(mean, squares.copy(), value, s_count, out=out) is out
+        assert out.tobytes() == returned.tobytes() == formula.tobytes()
+        assert np.abs(out[3]).min() > 1e9 and np.abs(out[5, :4]).min() > 1e9
+        assert type(t_statistic([1.0, 2.0, 3.0], 4.0)) is np.float64
 
 
 class TestEmpiricalPvalue:
@@ -226,17 +255,10 @@ class TestBuildNull:
             "cfg = SimConfig(n=100, n_controls=20, sigma=0.057, k_diffs=1, seed=0)\n"
             "np.save(sys.argv[1], build_null(sample_population(cfg)[0], m=4, seed=0).values)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
         nulls = []
         for k, (threads, workers) in enumerate([("1", "serial"), ("1", "any"), ("2", "any"), ("2", "any")]):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            path = tmp_path / f"null{k}.npy"
-            result = subprocess.run([sys.executable, "-c", script, str(path), workers], env=env,
-                                    capture_output=True, text=True, timeout=300)
-            assert result.returncode == 0, result.stderr
-            nulls.append(np.load(path))
+            blas = dict.fromkeys(inference._BLAS_THREAD_VARIABLES, threads)
+            nulls.append(np.load(run_script(script, tmp_path / f"null{k}.npy", workers, **blas)))
         serial, one, two, again = nulls
         assert np.array_equal(one, serial)
         assert np.array_equal(two, again)
@@ -576,7 +598,7 @@ def test_retries_compute_values_linear_in_attempts(control_mats, monkeypatch):
 
     monkeypatch.setattr(inference, "_streams", counting)
     out = np.empty((1, pair_count(8)))
-    assert _null_chunk(model, control_mats, seed, k, out, attempts) == attempts - 1
+    assert _null_chunk(model, control_mats, seed, k, out, attempts, None) == attempts - 1
     chunk_block, row_block = first_blocks
     assert sum(computed) <= attempts * (1 + s_count) + row_block + chunk_block
     monkeypatch.undo()
@@ -715,6 +737,57 @@ class TestFlatNull:
         # its mean, 4 resid[s] / 4, is resid[s] exactly, and its spread is 0
         expected = (resid[lefts[single]] - resid[picks[single, 0]]) / (SD_FLOOR * math.sqrt(1 + 1 / 4))
         assert np.array_equal(null[single], expected)
+
+    @pytest.mark.parametrize("m", [15, 17, _DRAW_CHUNK + 1])
+    def test_null_from_reused_buffers_equals_a_fresh_process(self, monkeypatch, tmp_path, m):
+        # two calls in one process, on 1, 2 and 3 workers, against the null
+        # and scores of a process that computes them once: no state is left
+        # between blocks, chunks, ranges or calls
+        script = (
+            "import sys, numpy as np\n"
+            "from spdconn import SimConfig, build_null, inference, sample_population\n"
+            "inference._worker_count = lambda m: 1\n"
+            "cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)\n"
+            "controls = sample_population(cfg)[0]\n"
+            "scores = inference.score_subjects(controls, controls[:2], int(sys.argv[2]), 3,\n"
+            "                                  parametrization='flat')\n"
+            "null = build_null(controls, int(sys.argv[2]), 3, parametrization='flat')\n"
+            "np.savez(sys.argv[1], null=null.values, t=scores.t, p=scores.p)\n"
+        )
+        fresh = np.load(run_script(script, tmp_path / "fresh.npz", str(m)))
+        cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+        controls, _ = sample_population(cfg)
+        for count in (1, 2, 3):
+            run_on_workers(monkeypatch, count)
+            for _ in range(2):
+                scores = score_subjects(controls, controls[:2], m, 3, parametrization="flat")
+                null = build_null(controls, m, 3, parametrization="flat")
+                assert np.array_equal(null.values, fresh["null"])
+                assert np.array_equal(scores.t, fresh["t"]) and np.array_equal(scores.p, fresh["p"])
+            assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+    def test_first_flat_null_of_a_process_faults_few_pages(self, tmp_path):
+        # The first score_subjects of a fresh process at the roc_flat
+        # workload's scale, m = 4 chunks, one worker.  Allocating each flat
+        # block's arrays anew took 18,456 minor faults (numpy 2.4.6, glibc,
+        # one BLAS thread); allocating the work arrays once per range, 843.
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys, numpy as np\n"
+            "from spdconn import SimConfig, inference, sample_population\n"
+            "inference._worker_count = lambda m: 1\n"
+            "cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)\n"
+            "controls = sample_population(cfg)[0]\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "inference.score_subjects(controls, controls[:3], int(sys.argv[2]), 77, parametrization='flat')\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "open(sys.argv[1], 'w').write(str(after - before))\n"
+        )
+        one_thread = dict.fromkeys(inference._BLAS_THREAD_VARIABLES, "1")
+        path = run_script(script, tmp_path / "faults.txt", str(4 * _DRAW_CHUNK), **one_thread)
+        faults = int(path.read_text())
+        assert faults <= 4000
 
     @pytest.mark.usefixtures("one_worker")
     def test_memory_of_a_wide_control_group(self):
@@ -909,8 +982,8 @@ class TestScoreSubjects:
     def test_refuses_a_non_finite_null_chunk(self, control_mats, monkeypatch, bad):
         chunk = inference._null_chunk
 
-        def spoiled(model, mats, seed, start, out, retry_cap):
-            n_failures = chunk(model, mats, seed, start, out, retry_cap)
+        def spoiled(model, mats, seed, start, out, retry_cap, work):
+            n_failures = chunk(model, mats, seed, start, out, retry_cap, work)
             out[len(out) // 2, -1] = bad
             return n_failures
 
@@ -981,18 +1054,21 @@ class TestScoreSubjects:
         seen = []
         chunk = inference._null_chunk
 
-        def recording(model, mats, seed, start, out, retry_cap):
-            seen.append((start, out))
-            return chunk(model, mats, seed, start, out, retry_cap)
+        def recording(model, mats, seed, start, out, retry_cap, work):
+            seen.append((start, out, work))
+            return chunk(model, mats, seed, start, out, retry_cap, work)
 
         monkeypatch.setattr(inference, "_null_chunk", recording)
         score_subjects(control_mats, control_mats[:2], m, 0, parametrization="flat")
-        assert [(start, len(out)) for start, out in seen] == [
+        assert [(start, len(out)) for start, out, _ in seen] == [
             (0, _DRAW_CHUNK), (_DRAW_CHUNK, _DRAW_CHUNK), (2 * _DRAW_CHUNK, 5),
         ]
-        buffer = seen[0][1].base
+        buffer, work = seen[0][1].base, seen[0][2]
         assert buffer.shape == (_DRAW_CHUNK, pair_count(8))
-        assert all(out.base is buffer for _, out in seen)
+        # the flat work arrays too are allocated once for the range
+        assert all(out.base is buffer and got is work for _, out, got in seen)
+        build_null(control_mats, 5, 0)
+        assert seen[-1][2] is None  # a tangent chunk takes none
 
     def test_report_matches_test_patient(self, control_mats):
         null = build_null(control_mats, m=25, seed=1)
@@ -1201,8 +1277,8 @@ class TestWorkers:
     def test_non_finite_row_in_a_child_range_raises(self, control_mats, monkeypatch, k):
         chunk = inference._null_chunk
 
-        def spoiled(model, mats, seed, start, out, retry_cap):
-            n_failures = chunk(model, mats, seed, start, out, retry_cap)
+        def spoiled(model, mats, seed, start, out, retry_cap, work):
+            n_failures = chunk(model, mats, seed, start, out, retry_cap, work)
             if start <= k < start + len(out):
                 out[k - start] = np.nan
             return n_failures
