@@ -29,7 +29,13 @@ from .group import (
     log_likelihood,
     subject_stack,
 )
-from .inference import bonferroni_floor, check_alpha, degenerate_floor, score_subjects
+from .inference import (
+    bonferroni_floor,
+    check_alpha,
+    check_controls,
+    degenerate_floor,
+    score_subjects,
+)
 from .simulate import SimConfig, cell_seed, roc_experiment
 
 _ERRORS = (SpdconnError, OSError)
@@ -112,8 +118,9 @@ def cmd_test(args) -> int:
     check_integer("--m", args.m, 1)
     check_integer("seed", args.seed, 0)
     _check_out(args.out)
-    # estimate the controls and pair the patient before the warning and the bootstrap
+    # estimate and check the controls and the patient before the warning and the bootstrap
     controls, names = as_correlation_matrices(_load_series(args.controls))
+    check_controls(controls)
     n = controls.shape[-1]
     patient = subject_stack([sio.read_time_series(args.patient)], n, names)
     _warn_if_no_pair_can_be_significant(pair_count(n), len(controls), args.m, args.alpha)

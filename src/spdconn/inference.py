@@ -4,16 +4,18 @@ The null distribution of the per-pair statistic is built nonparametrically:
 each bootstrap iteration leaves one control out, refits the group model on a
 resampled surrogate population, projects everybody into the surrogate
 residual frame, and records the left-out subject's statistic for every
-region pair.  One loop fills the null a chunk of iterations at a time, in
-both parametrizations: the flat refit is an arithmetic mean, so its
-statistic is taken against the resampled controls' coordinates without a
-fit; the tangent refit is a Fréchet fit per iteration, started from the
-mean of the whole control group, which is fitted first.  Row ``k``
-depends only on the seed and ``k``: iteration ``k`` draws from the
-package's own stream of ``[seed, k]``, computed for the chunk at once by
-hashing the seeds, stepping PCG64 and bounding its outputs, vectorized over
-``k``.  That stream equals ``np.random.default_rng([seed, k])`` under numpy
-2.4.6 (the tests check it), and a retried tangent fit continues it.
+region pair.  The control group's model, fitted first, is the bootstrap's
+only source for the controls.  One loop fills the null a chunk of
+iterations at a time, in both parametrizations: the flat refit is an
+arithmetic mean, so its statistic is taken against resampled rows of
+``model.residuals`` without a fit; the tangent refit is a Fréchet fit per
+iteration of a resample of ``model.frame.mats``, started from that frame.
+Row ``k`` depends only on the seed and ``k``: iteration ``k`` draws from
+the package's own stream of ``[seed, k]``, which ``_streams`` computes by
+hashing the seeds and stepping PCG64, vectorized over ``k``;
+``_resample_range`` bounds a chunk's first attempts at once, and
+``_resamples`` every attempt of one row.  That stream equals
+``np.random.default_rng([seed, k])`` under numpy 2.4.6 (the tests check it).
 Observed statistics for a test subject are then converted to empirical
 two-sided p-values against the pooled per-pair nulls and
 Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
@@ -422,9 +424,9 @@ def _streams(seed: int, start: int, stop: int, count: int):
 
 def _resample_range(seed: int, start: int, stop: int, s_count: int):
     """The first resamples of iterations ``start <= k < stop`` at once: row
-    ``k - start`` of ``(left, pick)`` is ``_resample_row(seed, k, s_count, 0)``,
+    ``k - start`` of ``(left, pick)`` is ``next(_resamples(seed, k, s_count))``,
     drawn here from ``1 + S`` stream values per row.  A row where Lemire's
-    method rejects a value is drawn again by ``_resample_row``."""
+    method rejects a value is drawn again by ``_resamples``."""
     words = next(_streams(seed, start, stop, 2 * (s_count // 2 + 1)))[:, :1 + s_count]
     bound = np.full(1 + s_count, s_count - 1, np.uint64)
     bound[0] = s_count
@@ -434,15 +436,8 @@ def _resample_range(seed: int, start: int, stop: int, s_count: int):
     pick += pick >= left[:, None]  # skips the left-out control
     redo = ((product & _MASK32) < (1 << 32) % bound).any(axis=1)
     for row in np.flatnonzero(redo):
-        left[row], pick[row] = _resample_row(seed, start + int(row), s_count, 0)
+        left[row], pick[row] = next(_resamples(seed, start + int(row), s_count))
     return left, pick
-
-
-def _row_values(seed: int, k: int):
-    """The 32-bit values of the stream of iteration ``k``, one at a time,
-    computed 64 at a time, each once."""
-    for words in _streams(seed, k, k + 1, 64):
-        yield from words[0].tolist()
 
 
 def _resamples(seed: int, k: int, s_count: int):
@@ -452,9 +447,9 @@ def _resamples(seed: int, k: int, s_count: int):
     draw them.  A draw below ``bound`` is the high word of ``value * bound``
     (Lemire's method); a value whose low word falls below
     ``2**32 % bound`` is rejected for the next one.  All attempts read one
-    stream and each of its values is computed once, so ``A`` attempts
-    compute the values they read and less than one block more."""
-    values = _row_values(seed, k)
+    stream, computed 64 values at a time and each value once, so ``A``
+    attempts compute the values they read and less than one block more."""
+    values = (value for words in _streams(seed, k, k + 1, 64) for value in words[0].tolist())
     bounds = [s_count] + [s_count - 1] * s_count
     while True:
         draws = []
@@ -469,15 +464,11 @@ def _resamples(seed: int, k: int, s_count: int):
         yield left, pick
 
 
-def _resample_row(seed: int, k: int, s_count: int, attempt: int):
-    """Resample ``attempt`` of iteration ``k``, the ``(attempt + 1)``-th
-    of ``_resamples(seed, k, s_count)``."""
-    return next(itertools.islice(_resamples(seed, k, s_count), attempt, None))
-
-
-def _refit_row(model: GroupModel, mats, left: int, pick) -> np.ndarray:
+def _refit_row(model: GroupModel, left: int, pick) -> np.ndarray:
     """A tangent null row: the left-out control's statistic against the
-    fit of the resample ``mats[pick]``, started from ``model``'s frame."""
+    fit of the resample ``mats[pick]`` of the controls ``mats`` that
+    ``model`` was fitted to, started from ``model``'s frame."""
+    mats = model.frame.mats
     return _statistics(fit_stack(mats[pick], start=(model.frame, pick)), mats[left])
 
 
@@ -566,20 +557,21 @@ def _pair_table(ufunc, rows, firsts, out):
     return out[:p]
 
 
-def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: int, work) -> int:
+def _null_chunk(model: GroupModel, seed: int, start: int, out, retry_cap: int, work) -> int:
     """Write the null rows of iterations ``start <= k < start + len(out)``
     into ``out``, a view of the null, from one ``_resample_range`` call;
     returns the number of failed fits.
 
-    A flat row is ``_flat_rows``', computed in ``work``, the range's
-    ``_flat_work`` arrays; it cannot fail.  The flat draws cover
-    the whole ``_FLAT_BLOCK`` blocks that hold the range, and rows outside
-    it are computed and dropped, so a row does not depend on its range.  A
-    tangent row is ``_refit_row``'s; a failed fit is retried with the next
-    resample of ``_resamples``, one stream per retried ``k``, and failing
-    ``retry_cap`` times in a row raises, naming ``k``; it takes no ``work``.
+    A flat row is ``_flat_rows``' of ``model.residuals``, computed in
+    ``work``, the range's ``_flat_work`` arrays; it cannot fail.  The flat
+    draws cover the whole ``_FLAT_BLOCK`` blocks that hold the range, and
+    rows outside it are computed and dropped, so a row does not depend on
+    its range.  A tangent row is ``_refit_row``'s, of ``model.frame.mats``;
+    a failed fit is retried with the next resample of ``_resamples``, one
+    stream per retried ``k``, and failing ``retry_cap`` times in a row
+    raises, naming ``k``; it takes no ``work``.
     """
-    s_count, n_pairs, stop = mats.shape[0], out.shape[1], start + len(out)
+    s_count, n_pairs, stop = model.n_subjects, out.shape[1], start + len(out)
     flat = model.parametrization == FLAT
     begin = start - start % _FLAT_BLOCK if flat else start
     end = -(-stop // _FLAT_BLOCK) * _FLAT_BLOCK if flat else stop
@@ -592,7 +584,7 @@ def _null_chunk(model: GroupModel, mats, seed: int, start: int, out, retry_cap: 
         retries = itertools.islice(_resamples(seed, start + row, s_count), 1, retry_cap)
         for left, pick in itertools.chain([first], retries):
             try:
-                out[row] = _refit_row(model, mats, left, pick)
+                out[row] = _refit_row(model, left, pick)
             except _FIT_FAILURES:
                 n_failures += 1
                 continue
@@ -646,10 +638,11 @@ def _worker_count(m: int) -> int:
     return max(1, min(m, cores // blas))
 
 
-def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
+def _bootstrap(model: GroupModel, seed: int, m: int, abs_t=None):
     """Run the ``m`` bootstrap iterations; returns the result and the
     number of failed fits.
 
+    The controls are those ``model`` was fitted to (``_null_chunk``).
     Without ``abs_t`` the result is the ``(m, P)`` null, each chunk
     written into its own rows.  With ``abs_t``, the ``(k, P)`` magnitudes
     of the subjects' statistics, it is how many null values lie below
@@ -687,11 +680,11 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
         if abs_t is not None:
             result[rank] = 0
             buffer = np.empty((min(stop - start, _DRAW_CHUNK), n_pairs))
-        work = _flat_work(len(mats), n_pairs, stop - start) if model.parametrization == FLAT else None
+        work = _flat_work(model.n_subjects, n_pairs, stop - start) if model.parametrization == FLAT else None
         edges = [start, *range(start - start % _DRAW_CHUNK + _DRAW_CHUNK, stop, _DRAW_CHUNK), stop]
         for lo, hi in zip(edges, edges[1:]):
             rows = result[lo:hi] if abs_t is None else buffer[:hi - lo]
-            failures[rank] += _null_chunk(model, mats, seed, lo, rows, retry_cap, work)
+            failures[rank] += _null_chunk(model, seed, lo, rows, retry_cap, work)
             if abs_t is not None:
                 _count_below(abs_t, rows, result[rank])
 
@@ -731,15 +724,12 @@ def _bootstrap(model: GroupModel, mats, seed: int, m: int, abs_t=None):
 def _control_stack(controls, m, seed, parametrization: str):
     """Check the bootstrap's arguments, then estimate the controls; returns
     their ``(S, n, n)`` stack and region names.  Fewer than 3 controls or
-    2 regions are refused before any fit."""
+    2 regions are refused before any fit (``check_controls``)."""
     check_parametrization(parametrization)
     check_integer("m", m, 1)
     check_integer("seed", seed, 0)
     mats, names = as_correlation_matrices(controls)
-    if mats.shape[0] < 3:
-        raise InvalidInputError("need at least 3 controls to build a null")
-    if mats.shape[-1] < 2:
-        raise InvalidInputError(f"need at least 2 regions to test a pair, got {mats.shape[-1]}")
+    check_controls(mats)
     return mats, names
 
 
@@ -805,7 +795,7 @@ def build_null(
     """
     mats, names = _control_stack(controls, m, seed, parametrization)
     model = fit_stack(mats, parametrization, region_names=names)
-    values, n_failures = _bootstrap(model, mats, seed, m)
+    values, n_failures = _bootstrap(model, seed, m)
     return NullDistribution(model, values, seed, n_failures)
 
 
@@ -847,7 +837,7 @@ def score_subjects(
     model = fit_stack(mats, parametrization, region_names=names)
     t = _statistics(model, subjects)
     del subjects  # the bootstrap keeps only t
-    below, n_failures = _bootstrap(model, mats, seed, m, _abs_statistic(t, t.shape))
+    below, n_failures = _bootstrap(model, seed, m, _abs_statistic(t, t.shape))
     return SubjectScores(model, t, _add_one(below, m), n_failures)
 
 
@@ -880,6 +870,17 @@ def check_alpha(alpha: float):
     check_finite("alpha", alpha)
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def check_controls(mats):
+    """Raise ``InvalidInputError`` unless the ``(S, n, n)`` stack of
+    estimated controls ``mats`` can build a null: at least 3 controls, so
+    that a resample leaves one out of at least two, and 2 regions, so that
+    there is a pair to test."""
+    if mats.shape[0] < 3:
+        raise InvalidInputError("need at least 3 controls to build a null")
+    if mats.shape[-1] < 2:
+        raise InvalidInputError(f"need at least 2 regions to test a pair, got {mats.shape[-1]}")
 
 
 def test_patient(

@@ -128,8 +128,12 @@ def write_model(path, model: GroupModel):
     """Persist the fitted group model as a JSON document.
 
     Numbers round-trip exactly: JSON floats are written with Python's
-    shortest-repr encoding.
+    shortest-repr encoding.  The document stores no parametrization and
+    :func:`read_model` loads a tangent model, so a flat model raises
+    ``InvalidInputError`` before any file is written.
     """
+    if model.parametrization != TANGENT:
+        raise InvalidInputError(f"only a tangent model can be saved, got {model.parametrization!r}")
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "n": model.n,

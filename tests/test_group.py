@@ -28,6 +28,7 @@ from spdconn import group, inference
 from spdconn.estimators import as_correlation_matrices
 from spdconn.group import (
     _CG_TOLERANCE,
+    TangentFrame,
     _frechet,
     _log_derivative,
     _log_weights,
@@ -157,14 +158,16 @@ def unit_step_frechet(stack, start=None):
     """Reference: the unit-step fixed point that the Newton steps replaced,
     ``M <- M^1/2 expm(G) M^1/2`` with ``G`` the mean log of the whitened
     rows, decomposing every row and started at the arithmetic mean; returns
-    what ``group._frechet`` returns, without a frame."""
+    what ``group._frechet`` returns, the exit frame included."""
     mean = symmetrize(stack.mean(axis=0))
     for iteration in range(group.MAX_ITERATIONS):
         root, inv_root = eig_apply(mean, np.sqrt, lambda e: 1.0 / np.sqrt(e))
-        step = eig_apply(whiten(inv_root, stack), np.log).mean(axis=0)
+        eigvals, eigvecs, logs = eig_decompose(whiten(inv_root, stack), np.log)
+        step = logs.mean(axis=0)
         gradient_norm = float(np.linalg.norm(step))
         if gradient_norm <= group.GRADIENT_TOLERANCE:
-            return mean, inv_root, iteration, gradient_norm, None
+            frame = TangentFrame(mean, root, inv_root, stack, eigvals, eigvecs, logs)
+            return mean, inv_root, iteration, gradient_norm, frame
         mean = symmetrize(root @ spd_expm(step) @ root)
     raise ConvergenceError("reference fit did not converge", gradient_norm)
 
@@ -344,7 +347,7 @@ def exact_exit_gradient(model, controls, pick) -> float:
 
 def resamples(seed, s_count, count):
     """The first resamples of bootstrap iterations ``0 <= k < count``."""
-    return [inference._resample_row(seed, k, s_count, 0)[1] for k in range(count)]
+    return [next(inference._resamples(seed, k, s_count))[1] for k in range(count)]
 
 
 def certified_refits(monkeypatch, controls, picks) -> np.ndarray:

@@ -37,8 +37,7 @@ from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
     _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, SD_FLOOR, _null_chunk, _refit_row, _resample_range,
-    _resample_row, _resamples, _row_values, _statistics, _streams, _t_rows, bonferroni_floor,
-    check_alpha, degenerate_floor, score_subjects,
+    _resamples, _statistics, _t_rows, bonferroni_floor, check_alpha, degenerate_floor, score_subjects,
 )
 from golden import CASES, case_inputs
 from test_group import cold_frechet, spy_exit_bounds
@@ -382,8 +381,8 @@ class TestBuildNull:
         assert np.array_equal(null.values[kept], clean.values[kept])
         # a retried row is the refit of the second resample of its global k
         for k in failed:
-            left, pick = _resample_row(seed, k, s_count, 1)
-            refit = _refit_row(clean.model, two_chunk_mats, left, pick)
+            left, pick = resample_attempt(seed, k, s_count, 1)
+            refit = _refit_row(clean.model, left, pick)
             assert np.array_equal(null.values[k], refit)
 
     @pytest.mark.usefixtures("one_worker")
@@ -459,7 +458,7 @@ def first_draws(s_count, seed, iterations, attempts=1):
     """A ``fails`` predicate for :func:`failing_refits`: true once for each
     of the first ``attempts`` resamples of each listed bootstrap iteration."""
     pending = {
-        _resample_row(seed, k, s_count, a)[1].tobytes() for k in iterations for a in range(attempts)
+        resample_attempt(seed, k, s_count, a)[1].tobytes() for k in iterations for a in range(attempts)
     }
 
     def fails(pick):
@@ -469,6 +468,11 @@ def first_draws(s_count, seed, iterations, attempts=1):
         return False
 
     return fails
+
+
+def resample_attempt(seed, k, s_count, attempt):
+    """Resample ``attempt`` of iteration ``k``, the ``(attempt + 1)``-th of its generator."""
+    return next(itertools.islice(_resamples(seed, k, s_count), attempt, None))
 
 
 def numpy_resample(rng, s_count):
@@ -490,12 +494,12 @@ def assert_draws_equal(draws, reference):
 def test_resample_draws_as_choice_does(s_count):
     for k in range(500):
         ref = np.random.default_rng([9, k])
-        left, pick = _resample_row(9, k, s_count, 0)
+        left, pick = resample_attempt(9, k, s_count, 0)
         assert left == int(ref.integers(s_count))
         rest = np.delete(np.arange(s_count), left)
         assert np.array_equal(pick, ref.choice(rest, size=s_count, replace=True))
         # a retry continues the same stream
-        assert_draws_equal(_resample_row(9, k, s_count, 1), numpy_resample(ref, s_count))
+        assert_draws_equal(resample_attempt(9, k, s_count, 1), numpy_resample(ref, s_count))
 
 
 @pytest.mark.parametrize("s_count", [3, 4, 5, 8, 20, 33])
@@ -517,7 +521,7 @@ def test_resample_range_draws_as_numpy_does(seed, s_count):
     for k in (0, 5, 2**32 + 1):
         rng = np.random.default_rng([seed, k])
         for attempt in range(3):
-            assert_draws_equal(_resample_row(seed, k, s_count, attempt), numpy_resample(rng, s_count))
+            assert_draws_equal(resample_attempt(seed, k, s_count, attempt), numpy_resample(rng, s_count))
 
 
 def test_resample_range_redraws_the_rows_numpy_rejects(monkeypatch):
@@ -530,11 +534,11 @@ def test_resample_range_redraws_the_rows_numpy_rejects(monkeypatch):
     kept = [616, 1323]
     redrawn = []
 
-    def counting(seed, k, s, attempt):
+    def counting(seed, k, s):
         redrawn.append(k)
-        return _resample_row(seed, k, s, attempt)
+        return _resamples(seed, k, s)
 
-    monkeypatch.setattr(inference, "_resample_row", counting)
+    monkeypatch.setattr(inference, "_resamples", counting)
     for k in sorted(rejected + kept):
         rng = np.random.default_rng([seed, k])
         reference = numpy_resample(rng, s_count)
@@ -546,7 +550,7 @@ def test_resample_range_redraws_the_rows_numpy_rejects(monkeypatch):
         assert ((state["state"], state["has_uint32"]) != (clean.state["state"], (1 + s_count) % 2)) == (k in rejected)
         (left,), (pick,) = _resample_range(seed, k, k + 1, s_count)
         assert_draws_equal((left, pick), reference)
-        assert_draws_equal(_resample_row(seed, k, s_count, 0), reference)
+        assert_draws_equal(resample_attempt(seed, k, s_count, 0), reference)
     assert redrawn == rejected
 
 
@@ -561,11 +565,11 @@ def test_stream_is_pinned():
         (1, 2**32 + 5, 6, 0): (0, [3, 2, 2, 2, 2, 5]),
     }
     for (seed, k, s_count, attempt), expected in pinned.items():
-        assert_draws_equal(_resample_row(seed, k, s_count, attempt), expected)
+        assert_draws_equal(resample_attempt(seed, k, s_count, attempt), expected)
     # the first rejection row at S=3000: its left, first and last picks and
     # the sum of its picks
     (range_left,), (range_pick,) = _resample_range(5, 74, 75, 3000)
-    for left, pick in [_resample_row(5, 74, 3000, 0), (range_left, range_pick)]:
+    for left, pick in [resample_attempt(5, 74, 3000, 0), (range_left, range_pick)]:
         assert (left, pick[:4].tolist(), pick[-4:].tolist(), int(pick.sum())) == (
             1797, [560, 1560, 2190, 1871], [625, 431, 275, 246], 4509902
         )
@@ -573,8 +577,9 @@ def test_stream_is_pinned():
 
 @pytest.mark.parametrize("s_count", [3, 8, 20, 3000])
 def test_resamples_continue_one_generator(s_count):
-    # attempt a of iteration k is the (a + 1)-th resample of default_rng([seed, k])
-    for seed, k in [(0, 0), (7, 1030), (2**64 - 1, 2**32 + 3)]:
+    # attempt a of iteration k is the (a + 1)-th resample of default_rng([seed, k]);
+    # at S=3000 a row reads its stream over about 1,400 blocks of 64 values
+    for seed, k in [(0, 0), (7, 1030), (3, 9), (2**64 - 1, 2**32 + 3)]:
         rng = np.random.default_rng([seed, k])
         for draws in itertools.islice(_resamples(seed, k, s_count), 30):
             assert_draws_equal(draws, numpy_resample(rng, s_count))
@@ -598,19 +603,12 @@ def test_retries_compute_values_linear_in_attempts(control_mats, monkeypatch):
 
     monkeypatch.setattr(inference, "_streams", counting)
     out = np.empty((1, pair_count(8)))
-    assert _null_chunk(model, control_mats, seed, k, out, attempts, None) == attempts - 1
+    assert _null_chunk(model, seed, k, out, attempts, None) == attempts - 1
     chunk_block, row_block = first_blocks
     assert sum(computed) <= attempts * (1 + s_count) + row_block + chunk_block
     monkeypatch.undo()
-    left, pick = _resample_row(seed, k, s_count, attempts - 1)
-    assert np.array_equal(out[0], _refit_row(model, control_mats, left, pick))
-
-
-def test_row_values_extend_the_stream():
-    # a row that runs out of computed values continues its stream: three
-    # blocks and more equal one long first block of the same stream
-    values = _row_values(3, 9)
-    assert [next(values) for _ in range(200)] == next(_streams(3, 9, 10, 200))[0].tolist()
+    left, pick = resample_attempt(seed, k, s_count, attempts - 1)
+    assert np.array_equal(out[0], _refit_row(model, left, pick))
 
 
 def flat_reference_row(mats, seed, k):
@@ -982,8 +980,8 @@ class TestScoreSubjects:
     def test_refuses_a_non_finite_null_chunk(self, control_mats, monkeypatch, bad):
         chunk = inference._null_chunk
 
-        def spoiled(model, mats, seed, start, out, retry_cap, work):
-            n_failures = chunk(model, mats, seed, start, out, retry_cap, work)
+        def spoiled(model, seed, start, out, retry_cap, work):
+            n_failures = chunk(model, seed, start, out, retry_cap, work)
             out[len(out) // 2, -1] = bad
             return n_failures
 
@@ -1054,9 +1052,9 @@ class TestScoreSubjects:
         seen = []
         chunk = inference._null_chunk
 
-        def recording(model, mats, seed, start, out, retry_cap, work):
+        def recording(model, seed, start, out, retry_cap, work):
             seen.append((start, out, work))
-            return chunk(model, mats, seed, start, out, retry_cap, work)
+            return chunk(model, seed, start, out, retry_cap, work)
 
         monkeypatch.setattr(inference, "_null_chunk", recording)
         score_subjects(control_mats, control_mats[:2], m, 0, parametrization="flat")
@@ -1277,8 +1275,8 @@ class TestWorkers:
     def test_non_finite_row_in_a_child_range_raises(self, control_mats, monkeypatch, k):
         chunk = inference._null_chunk
 
-        def spoiled(model, mats, seed, start, out, retry_cap, work):
-            n_failures = chunk(model, mats, seed, start, out, retry_cap, work)
+        def spoiled(model, seed, start, out, retry_cap, work):
+            n_failures = chunk(model, seed, start, out, retry_cap, work)
             if start <= k < start + len(out):
                 out[k - start] = np.nan
             return n_failures

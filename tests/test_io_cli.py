@@ -186,6 +186,15 @@ class TestModelIO:
         assert back.n_subjects == model.n_subjects
         assert back.region_names == model.region_names
 
+    def test_refuses_a_flat_model_before_writing(self, tmp_path):
+        # the document stores no parametrization and reloads as tangent,
+        # where the same subject would score another likelihood
+        mats, _ = sample_population(SimConfig(n=4, n_controls=6, seed=1, k_diffs=2))
+        model = fit_from_matrices(mats, parametrization="flat")
+        with pytest.raises(InvalidInputError, match="only a tangent model can be saved, got 'flat'"):
+            sio.write_model(tmp_path / "model.json", model)
+        assert os.listdir(tmp_path) == []
+
     def test_schema_fields(self, tmp_path, rng):
         cfg = SimConfig(n=4, n_controls=4, sigma=0.05, seed=1, k_diffs=2)
         mats, _ = sample_population(cfg)
@@ -476,6 +485,23 @@ class TestCliTest:
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
+
+    def test_too_few_controls_fail_without_a_warning(self, demo, tmp_path, monkeypatch, capsys):
+        from spdconn import group, inference
+
+        fits = []
+        for module in (group, inference):
+            monkeypatch.setattr(module, "fit_stack", lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "r.csv"
+        # 2 controls would also warn that no pair can be significant
+        args = [
+            "test", "--controls", *demo["controls"][:2], "--patient", demo["patient"],
+            "--m", "5", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: need at least 3 controls to build a null"]
+        assert not out.exists()
+        assert fits == []
 
     def test_refuses_one_region(self, tmp_path, rng, capsys):
         from spdconn import TimeSeries

@@ -1,12 +1,14 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
 generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
-each bootstrap stream once, runs one bootstrap loop with one abort, computes
-the statistic in one function, subjects are paired with the controls in one
-place, matrices are checked in one place, only the bootstrap forks, its
-workers send nothing through a pickle or a pipe, ``import spdconn`` loads no
-process pool, every function the benchmark's tracer relies on stays a public function,
-and the public API is the listed one."""
+each bootstrap stream once, runs one bootstrap loop with one abort, takes
+the bootstrap's controls from the fitted model only, computes the
+statistic in one function, checks a control group in one place, subjects
+are paired with the controls in one place, matrices are checked in one
+place, only the bootstrap forks, its workers send nothing through a pickle
+or a pipe, ``import spdconn`` loads no process pool, every function the
+benchmark's tracer relies on stays a public function, and the public API is
+the listed one."""
 
 import ast
 import importlib.util
@@ -187,7 +189,7 @@ def test_flat_blocks_never_straddle_a_chunk():
 
 def test_each_stream_is_one_generator():
     # _resample_range takes a chunk's first block of its streams and
-    # _row_values continues one row's: a third caller, or a _stream_words
+    # _resamples reads all of one row's: a third caller, or a _stream_words
     # that restarts a stream, would compute its values again
     source = (PACKAGE / "inference.py").read_text()
     functions = {node.name: ast.get_source_segment(source, node)
@@ -195,7 +197,19 @@ def test_each_stream_is_one_generator():
     assert "_stream_words" not in functions
     assert len(call_sites(source, "_streams")) == 2
     callers = [name for name, text in functions.items() if call_sites(text, "_streams")]
-    assert callers == ["_resample_range", "_row_values"]
+    assert callers == ["_resample_range", "_resamples"]
+
+
+def test_the_bootstrap_reads_its_controls_from_the_model():
+    # a control stack passed beside the model could differ from the one the
+    # model was fitted to, and the null would resample other controls than
+    # those that score the subjects
+    from spdconn import inference
+
+    for name in ("_bootstrap", "_null_chunk", "_refit_row"):
+        parameters = list(inspect.signature(getattr(inference, name)).parameters)
+        assert parameters[0] == "model", name
+        assert not {"mats", "controls", "stack"} & set(parameters), name
 
 
 def raise_sites(source: str, text: str) -> list[int]:
@@ -226,6 +240,15 @@ def test_one_bootstrap_loop_in_inference():
     source = (PACKAGE / "inference.py").read_text()
     assert len(call_sites(source, "_null_chunk")) == 1
     assert len(raise_sites(source, "(> 10%)")) == 1
+
+
+def test_one_control_check_in_the_package():
+    # the CLI and the bootstrap refuse a control group through
+    # inference.check_controls; a second copy of a message could drift from it
+    for text in ("need at least 3 controls", "need at least 2 regions to test a pair"):
+        sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 for _ in raise_sites(path.read_text(), text)]
+        assert sites == ["inference.py"], text
 
 
 def test_one_subject_check_in_the_package():
