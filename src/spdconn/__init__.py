@@ -56,9 +56,11 @@ from .group import (
 from .inference import (
     NullDistribution,
     PairTest,
+    SubjectScores,
     TestReport,
     build_null,
     empirical_pvalue,
+    score_subjects,
     t_statistic,
     test_patient,
 )

@@ -25,6 +25,7 @@ from .group import (
     FLAT,
     TANGENT,
     fit_group_model,
+    fit_stack,
     leave_one_out_scores,
     log_likelihood,
     subject_stack,
@@ -34,7 +35,7 @@ from .inference import (
     check_alpha,
     check_controls,
     degenerate_floor,
-    score_subjects,
+    score_stack,
 )
 from .simulate import SimConfig, cell_seed, roc_experiment
 
@@ -55,15 +56,20 @@ def _load_series(paths, confound_paths=None):
     return series
 
 
-def _check_out(path):
+def _check_out(path, inputs):
+    """Refuse a directory, a missing directory or one of the ``inputs`` as ``--out``."""
     if os.path.isdir(path):
         raise InvalidInputError(f"--out {path}: it is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise InvalidInputError(f"--out {path}: its directory does not exist")
+    if os.path.exists(path):
+        for name in inputs:
+            if os.path.exists(name) and os.path.samefile(path, name):
+                raise InvalidInputError(f"--out {path}: it is the input {name}")
 
 
 def cmd_fit(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, [*args.controls, *(args.confounds or ())])
     series = _load_series(args.controls, args.confounds)
     model = fit_group_model(series)
     sio.write_model(args.out, model)
@@ -117,19 +123,17 @@ def cmd_test(args) -> int:
     check_alpha(args.alpha)
     check_integer("--m", args.m, 1)
     check_integer("seed", args.seed, 0)
-    _check_out(args.out)
+    _check_out(args.out, [*args.controls, args.patient])
     # estimate and check the controls and the patient before the warning and the bootstrap
     controls, names = as_correlation_matrices(_load_series(args.controls))
     check_controls(controls)
     n = controls.shape[-1]
     patient = subject_stack([sio.read_time_series(args.patient)], n, names)
     _warn_if_no_pair_can_be_significant(pair_count(n), len(controls), args.m, args.alpha)
-    scores = score_subjects(
-        controls, patient, args.m, args.seed, parametrization=args.parametrization
-    )
+    model = fit_stack(controls, args.parametrization, region_names=names)
+    scores = score_stack(model, patient, args.m, args.seed)
     subject_id = os.path.splitext(os.path.basename(args.patient))[0]
     report = scores.report(0, args.alpha, subject_id=subject_id)
-    report = dataclasses.replace(report, region_names=names)
     sio.write_report(args.out, report, m=args.m, seed=args.seed)
     print(f"pairs_tested: {len(report.pairs)}")
     print(f"significant_corrected: {report.n_significant(corrected=True)}")
@@ -214,7 +218,7 @@ def cmd_simulate(args) -> int:
     parametrizations = [TANGENT, FLAT] if requested == "both" else [requested]
     seed = base.pop("seed", 0)
     check_integer("seed", seed, 0)
-    _check_out(args.out)
+    _check_out(args.out, [args.config] if args.config else [])
     rows = []
     cell = 0
     for parametrization in parametrizations:

@@ -95,12 +95,17 @@ def residualize_confounds(x: TimeSeries, confounds=None) -> TimeSeries:
     return TimeSeries(x.values - design @ beta, x.region_names)
 
 
+def _centered_covariance(x) -> tuple[np.ndarray, np.ndarray]:
+    """The centred samples of ``x`` and their covariance with 1/t normalization."""
+    v = _as_samples(x)
+    centered = v - v.mean(axis=0)
+    return centered, symmetrize(centered.T @ centered / v.shape[0])
+
+
 def sample_covariance(x) -> np.ndarray:
     """Empirical covariance with 1/t normalization (matches the shrinkage
     derivation); symmetric positive semidefinite."""
-    v = _as_samples(x)
-    centered = v - v.mean(axis=0)
-    return symmetrize(centered.T @ centered / v.shape[0])
+    return _centered_covariance(x)[1]
 
 
 def ledoit_wolf(x) -> np.ndarray:
@@ -113,10 +118,8 @@ def ledoit_wolf(x) -> np.ndarray:
     noise of the per-observation outer products.  The result is well
     conditioned: its smallest eigenvalue is at least ``rho * mu``.
     """
-    v = _as_samples(x)
-    t, n = v.shape
-    centered = v - v.mean(axis=0)
-    s = symmetrize(centered.T @ centered / t)
+    centered, s = _centered_covariance(x)
+    t, n = centered.shape
     mu = np.trace(s) / n
     if mu <= 0:
         raise DegenerateInputError("all-constant input: covariance has zero trace")

@@ -22,10 +22,12 @@ Bonferroni-corrected over the ``n (n - 1) / 2`` tests.
 
 Who holds the null decides the memory.  ``build_null`` stores all ``m``
 rows, ``O(m P)``, for callers that need the values themselves.
-``score_subjects`` knows its ``k`` subjects before the bootstrap, so it
-counts each chunk's exceedances and reuses one chunk buffer: ``O(k P +
-chunk P)`` per worker whatever ``m`` is, with p-values equal to scoring the
-stored null.
+``score_stack`` scores a stack of subjects against a fitted control model
+and knows them before the bootstrap, so it counts each chunk's exceedances
+and reuses one chunk buffer: ``O(k P + chunk P)`` per worker whatever ``m``
+is, with p-values equal to scoring the stored null.  ``score_subjects``
+estimates and checks the controls and the subjects, fits the controls and
+hands the model and the subjects' stack to it.
 
 The iterations run on every usable core that BLAS leaves free: where the
 environment pins BLAS to fewer threads than there are cores, contiguous
@@ -166,7 +168,7 @@ def empirical_pvalue(t, null_values):
     The caller holds the null.  The exceedances are counted by binary
     search in each column's sorted ``|null|``, taken ``_PVALUE_BLOCK``
     columns at a time, so the only temporary that grows with ``m`` is one
-    ``(_PVALUE_BLOCK, m)`` block.  ``score_subjects`` counts with the same
+    ``(_PVALUE_BLOCK, m)`` block.  ``score_stack`` counts with the same
     kernel over each chunk of a null it never stores.
     """
     null = np.asarray(null_values, dtype=np.float64)
@@ -806,6 +808,27 @@ def _statistics(model: GroupModel, mats) -> np.ndarray:
     return t_statistic(model.residuals[:, :n_pairs], model.project(mats)[..., :n_pairs])
 
 
+def score_stack(model: GroupModel, stack: np.ndarray, m: int, seed: int) -> SubjectScores:
+    """Score the ``(k, n, n)`` stack that ``group.subject_stack`` returned
+    against the bootstrap null of the controls ``model`` was fitted to,
+    without storing the null.
+
+    Like ``group.fit_stack`` it checks nothing: the caller has checked
+    ``m``, ``seed`` and the stack.  The subjects' statistics come before
+    the bootstrap, and a NaN among them raises ``InvalidInputError`` there.
+    Each chunk of null rows is then written into one reused
+    ``(min(m, _DRAW_CHUNK), P)`` buffer, and its exceedances are added into
+    a ``(k, P)`` integer count, one buffer and one count per worker, so
+    memory is ``O(k P + chunk P)`` per worker however large ``m`` is.  A
+    non-finite null row raises ``InvalidInputError`` as
+    ``empirical_pvalue`` does.
+    """
+    t = _statistics(model, stack)
+    del stack  # the bootstrap keeps only t
+    below, n_failures = _bootstrap(model, seed, m, _abs_statistic(t, t.shape))
+    return SubjectScores(model, t, _add_one(below, m), n_failures)
+
+
 def score_subjects(
     controls,
     subjects,
@@ -823,22 +846,14 @@ def score_subjects(
     (``n_failures``) and the 10% abort are ``build_null``'s.  ``subjects``
     are taken as ``build_null`` takes the controls, `TimeSeries` or SPD
     arrays, and checked against the controls' dimension and region names
-    by ``group.subject_stack`` before the controls are fitted.  Their
-    statistics come before the bootstrap, and a NaN among them raises
-    ``InvalidInputError`` there.  Each chunk of null rows is then written
-    into one reused ``(min(m, _DRAW_CHUNK), P)`` buffer, and its
-    exceedances are added into a ``(k, P)`` integer count, one buffer and
-    one count per worker, so memory is ``O(k P + chunk P)`` per worker
-    however large ``m`` is.  A non-finite null row
-    raises ``InvalidInputError`` as ``empirical_pvalue`` does.
+    by ``group.subject_stack`` before the controls are fitted; the model
+    and the subjects' stack are then scored by ``score_stack``.
     """
     mats, names = _control_stack(controls, m, seed, parametrization)
-    subjects = subject_stack(subjects, mats.shape[-1], names)
-    model = fit_stack(mats, parametrization, region_names=names)
-    t = _statistics(model, subjects)
-    del subjects  # the bootstrap keeps only t
-    below, n_failures = _bootstrap(model, seed, m, _abs_statistic(t, t.shape))
-    return SubjectScores(model, t, _add_one(below, m), n_failures)
+    # arguments run in the order written, so the subjects are checked before
+    # the fit, and no name here keeps their stack alive through the bootstrap
+    return score_stack(stack=subject_stack(subjects, mats.shape[-1], names),
+                       model=fit_stack(mats, parametrization, region_names=names), m=m, seed=seed)
 
 
 def _bonferroni(p_raw, n_pairs: int):

@@ -1016,6 +1016,29 @@ class TestScoreSubjects:
         assert fits == []
 
     @pytest.mark.usefixtures("one_worker")
+    def test_drops_the_subject_stack_before_the_bootstrap(self, control_mats, monkeypatch):
+        # the bootstrap keeps only the statistics, so k subjects cost no
+        # (k, n, n) stack while the null is counted
+        import weakref
+
+        stacks, alive = [], []
+        checked, run = inference.subject_stack, inference._bootstrap
+
+        def checking(*args):
+            stack = checked(*args)
+            stacks.append(weakref.ref(stack))
+            return stack
+
+        def bootstrap(*args):
+            alive.append(stacks[0]() is not None)
+            return run(*args)
+
+        monkeypatch.setattr(inference, "subject_stack", checking)
+        monkeypatch.setattr(inference, "_bootstrap", bootstrap)
+        score_subjects(control_mats, control_mats[:2], 5, 0)
+        assert alive == [False]
+
+    @pytest.mark.usefixtures("one_worker")
     def test_refuses_an_indefinite_subject_before_fitting(self, control_mats, monkeypatch):
         # a stack is validated as test_patient validates its patient
         null = build_null(control_mats, 5, 0)

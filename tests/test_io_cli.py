@@ -449,6 +449,35 @@ class TestCliTest:
         assert main(args) == 0
         assert len(calls) == len(demo["controls"]) + 1
 
+    @pytest.mark.usefixtures("one_worker")
+    def test_validates_each_stack_once(self, demo, tmp_path, monkeypatch):
+        # the controls and the patient are each estimated, validated, and
+        # fitted or scored once, and the model carries the regions' names
+        from spdconn import geometry
+
+        calls, reports = [], []
+        original = geometry.validate_spd_stack
+
+        def counting(mats):
+            calls.append(1)
+            return original(mats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spdconn") and getattr(module, "validate_spd_stack", None) is original:
+                monkeypatch.setattr(module, "validate_spd_stack", counting)
+        write = sio.write_report
+        monkeypatch.setattr(sio, "write_report",
+                            lambda path, report, **kw: reports.append(report) or write(path, report, **kw))
+        args = [
+            "test", "--controls", *demo["controls"], "--patient", demo["patient"],
+            "--m", "5", "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(args) == 0
+        assert len(calls) == 2
+        with open(demo["controls"][0]) as handle:
+            header = tuple(handle.readline().strip().split(","))
+        assert [r.region_names for r in reports] == [header]
+
     def test_controls_with_a_byte_order_mark_pair_with_a_patient_without(self, demo, tmp_path):
         marked = []
         for path in demo["controls"]:
@@ -490,7 +519,7 @@ class TestCliTest:
         from spdconn import group, inference
 
         fits = []
-        for module in (group, inference):
+        for module in (cli, group, inference):
             monkeypatch.setattr(module, "fit_stack", lambda *args, **kwargs: fits.append(args))
         out = tmp_path / "r.csv"
         # 2 controls would also warn that no pair can be significant
@@ -530,7 +559,7 @@ class TestCliTest:
             fits.append(1)
             return original(*args, **kwargs)
 
-        for module in (group, inference):
+        for module in (cli, group, inference):
             monkeypatch.setattr(module, "fit_stack", counting)
         patient = demo["patient"]
         extra = {"alpha": ["--alpha", "1.5"], "m": ["--m", "0"], "seed": ["--seed", "-1"]}.get(case, [])
@@ -930,7 +959,7 @@ def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkey
         fits.append(1)
         return original(*args, **kwargs)
 
-    for module in (group, inference):
+    for module in (cli, group, inference):
         monkeypatch.setattr(module, "fit_stack", counting)
     reads = []
     read = sio.read_time_series
@@ -951,6 +980,49 @@ def test_out_in_a_missing_directory_fails_before_any_work(demo, tmp_path, monkey
     assert capsys.readouterr().err == f"error: --out {out}: {problem}\n"
     assert fits == [] and reads == []
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--controls"), ("fit", "--confounds"), ("test", "--controls"), ("test", "--patient"),
+    ("simulate", "--config"),
+])
+def test_out_that_names_an_input_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command,
+                                                       flag):
+    from spdconn import group, inference
+
+    fits = []
+    for module in (cli, group, inference):
+        monkeypatch.setattr(module, "fit_stack", lambda *args, **kwargs: fits.append(args))
+    reads = []
+    read = sio.read_time_series
+    monkeypatch.setattr(sio, "read_time_series", lambda path: reads.append(path) or read(path))
+    # copies, so that a failure leaves the shared demo files as they are
+    controls = []
+    for k, path in enumerate(demo["controls"]):
+        controls.append(str(tmp_path / f"s{k}.csv"))
+        Path(controls[-1]).write_bytes(Path(path).read_bytes())
+    patient = str(tmp_path / "patient.csv")
+    Path(patient).write_bytes(Path(demo["patient"]).read_bytes())
+    confounds = []
+    for k in range(len(controls)):
+        confounds.append(str(tmp_path / f"c{k}.csv"))
+        Path(confounds[-1]).write_text("drift\n" + "".join(f"{v}.0\n" for v in range(60)))
+    config = str(tmp_path / "cfg.json")
+    Path(config).write_text(json.dumps({"n": 6, "n_controls": 8, "k_diffs": 3, "m": 5}))
+    target = {"--controls": controls[1], "--confounds": confounds[2], "--patient": patient,
+              "--config": config}[flag]
+    before = Path(target).read_bytes()
+    # another spelling of the same file
+    out = os.path.join(os.path.dirname(target), ".", os.path.basename(target))
+    argv = {
+        "fit": ["fit", "--controls", *controls, "--confounds", *confounds, "--out", out],
+        "test": ["test", "--controls", *controls, "--patient", patient, "--m", "5", "--out", out],
+        "simulate": ["simulate", "--config", config, "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: it is the input {target}\n"
+    assert fits == [] and reads == []
+    assert Path(target).read_bytes() == before
 
 
 @pytest.mark.parametrize("command", ["fit", "test", "simulate"])

@@ -417,12 +417,13 @@ PUBLIC_API = [
     "DegenerateModelError", "FLAT", "GroupModel",
     "InvalidInputError", "NearSingularError", "NullDistribution",
     "NumericRangeError", "PairTest", "RocCurve", "SPD_EIG_FLOOR", "SimConfig",
-    "TANGENT", "TestReport", "TimeSeries", "auc", "build_null", "clip_spd",
-    "correlation_matrix", "default_group_correlation", "empirical_pvalue",
-    "fit_from_matrices", "fit_group_model", "frechet_mean", "geodesic_distance",
-    "inject_differences", "leave_one_out_scores", "ledoit_wolf", "log_likelihood",
-    "pair_count", "reconstruct", "residualize_confounds", "roc_experiment",
-    "sample_covariance", "sample_population", "sample_time_series",
+    "SubjectScores", "TANGENT", "TestReport", "TimeSeries", "auc", "build_null",
+    "clip_spd", "correlation_matrix", "default_group_correlation",
+    "empirical_pvalue", "fit_from_matrices", "fit_group_model", "frechet_mean",
+    "geodesic_distance", "inject_differences", "leave_one_out_scores",
+    "ledoit_wolf", "log_likelihood", "pair_count", "reconstruct",
+    "residualize_confounds", "roc_experiment", "sample_covariance",
+    "sample_population", "sample_time_series", "score_subjects",
     "simulate_patients", "spd_expm", "spd_logm", "spd_sqrtm", "symmetrize",
     "t_statistic", "tangent_inverse_map", "tangent_map", "test_patient",
     "to_correlation", "tril_pairs", "validate_spd", "vec_dim", "vec_embed",
