@@ -68,8 +68,26 @@ def _check_out(path, inputs):
                 raise InvalidInputError(f"--out {path}: it is the input {name}")
 
 
+def _check_distinct(inputs):
+    """Refuse a file given twice among ``inputs``, ``(flag, path)`` pairs in
+    argument order, before any is read.  Two paths name the same file when
+    ``os.path.samefile`` would say so, by device and inode; a path that
+    ``os.stat`` cannot reach is left to its reader to report."""
+    seen = {}
+    for flag, path in inputs:
+        try:
+            info = os.stat(path)
+        except OSError:
+            continue
+        key = (info.st_dev, info.st_ino)
+        if key in seen:
+            raise InvalidInputError(f"{flag} {path}: it is also given as {seen[key]}")
+        seen[key] = f"{flag} {path}"
+
+
 def cmd_fit(args) -> int:
     _check_out(args.out, [*args.controls, *(args.confounds or ())])
+    _check_distinct([("--controls", path) for path in args.controls])
     series = _load_series(args.controls, args.confounds)
     model = fit_group_model(series)
     sio.write_model(args.out, model)
@@ -124,6 +142,7 @@ def cmd_test(args) -> int:
     check_integer("--m", args.m, 1)
     check_integer("seed", args.seed, 0)
     _check_out(args.out, [*args.controls, args.patient])
+    _check_distinct([*(("--controls", path) for path in args.controls), ("--patient", args.patient)])
     # estimate and check the controls and the patient before the warning and the bootstrap
     controls, names = as_correlation_matrices(_load_series(args.controls))
     check_controls(controls)

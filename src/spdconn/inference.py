@@ -24,8 +24,11 @@ Who holds the null decides the memory.  ``build_null`` stores all ``m``
 rows, ``O(m P)``, for callers that need the values themselves.
 ``score_stack`` scores a stack of subjects against a fitted control model
 and knows them before the bootstrap, so it counts each chunk's exceedances
-and reuses one chunk buffer: ``O(k P + chunk P)`` per worker whatever ``m``
-is, with p-values equal to scoring the stored null.  ``score_subjects``
+in the one chunk buffer it reuses, which the count sorts in place:
+``O(k P + chunk P)`` per worker whatever ``m`` is, with p-values equal to
+scoring the stored null.  ``_count_below`` is the one counting kernel:
+``empirical_pvalue`` feeds it copied slices of a stored null, so the
+caller's null is never sorted.  ``score_subjects``
 estimates and checks the controls and the subjects, fits the controls and
 hands the model and the subjects' stack to it.
 
@@ -115,12 +118,6 @@ def _t_rows(mean, squares, value, s_count: int, out=None):
     return np.divide(gap, sd, out=out)
 
 
-# Null columns per block of ``_count_below``: its one temporary that grows
-# with the rows counted is a sorted (8, rows) block of |null|, not a copy.
-# At m=10**4, P=528 and 20 rows, 4 and 8 timed fastest; 16-64 about 10% slower.
-_PVALUE_BLOCK = 8
-
-
 def _abs_statistic(t, shape):
     """``|t|`` broadcast to ``shape``; a NaN or another shape raises ``InvalidInputError``."""
     try:
@@ -132,22 +129,36 @@ def _abs_statistic(t, shape):
     return t
 
 
-def _count_below(abs_t, null, below):
-    """Add to ``below[..., p]`` how many ``|null[:, p]|`` lie below
-    ``abs_t[..., p]``, for a ``(rows, P)`` null: a stored null or one chunk.
+def _count_below(abs_t, rows, below):
+    """Add to ``below[..., p]`` how many ``|rows[:, p]|`` lie below
+    ``abs_t[..., p]``, for C-contiguous ``(r, P)`` null ``rows`` that the
+    caller no longer needs: a chunk of the bootstrap or a copied slice of a
+    stored null.
 
-    Each column's ``|null|`` is sorted, ``_PVALUE_BLOCK`` columns at a
-    time, and searched, so the only temporary that grows with ``rows`` is
-    one ``(_PVALUE_BLOCK, rows)`` block.  A non-finite null value raises
-    ``InvalidInputError``.
+    ``rows`` is overwritten with its ``|rows|``, each column sorted by one
+    ``sort(axis=0)``, so nothing grows with ``r``.  A non-finite value,
+    which sorts last, raises ``InvalidInputError``.  Every threshold is
+    then placed in its column by one branchless binary search over all of
+    ``abs_t`` at once: ``ceil(log2 r) + 1`` gathers of ``abs_t.size``
+    values.
     """
-    for b in range(0, null.shape[1], _PVALUE_BLOCK):
-        block = np.abs(null[:, b:b + _PVALUE_BLOCK].T, order="C")
-        block.sort(axis=-1)
-        if not np.isfinite(block[:, -1]).all():  # NaN and inf sort last
-            raise InvalidInputError("null sample contains non-finite values")
-        for p, col in enumerate(block, start=b):
-            below[..., p] += np.searchsorted(col, abs_t[..., p], side="left")
+    np.abs(rows, out=rows)
+    rows.sort(axis=0)
+    if not np.isfinite(rows[-1]).all():  # NaN and inf sort last
+        raise InvalidInputError("null sample contains non-finite values")
+    size, width = rows.shape
+    flat = rows.ravel()
+    # base[..., p] is a flat index in column p: the rows before it lie below
+    # abs_t[..., p], and the count is at most its row plus size
+    base = np.zeros(abs_t.shape, np.intp)
+    base += np.arange(width)
+    while size > 1:
+        half = size // 2
+        step = half * width
+        np.add(base, step, out=base, where=flat[base + step] < abs_t)
+        size -= half
+    below += base // width
+    below += flat[base] < abs_t
 
 
 def _add_one(below, m: int):
@@ -165,11 +176,12 @@ def empirical_pvalue(t, null_values):
     or ``(k, P)``.  A null of another number of dimensions, a non-finite
     null value or a NaN in ``t`` raises ``InvalidInputError``; an
     infinite ``t`` gets the smallest p-value.
-    The caller holds the null.  The exceedances are counted by binary
-    search in each column's sorted ``|null|``, taken ``_PVALUE_BLOCK``
-    columns at a time, so the only temporary that grows with ``m`` is one
-    ``(_PVALUE_BLOCK, m)`` block.  ``score_stack`` counts with the same
-    kernel over each chunk of a null it never stores.
+    The caller holds the null and keeps it unchanged: its rows are copied,
+    ``_DRAW_CHUNK`` at a time, into one scratch array, where
+    ``_count_below`` sorts them and counts each slice's exceedances, so no
+    temporary outgrows that ``(min(m, _DRAW_CHUNK), P)`` scratch, whatever
+    ``m`` is.  ``score_stack`` counts with the same kernel over each chunk
+    of a null it never stores.
     """
     null = np.asarray(null_values, dtype=np.float64)
     if null.ndim not in (1, 2):
@@ -182,7 +194,11 @@ def empirical_pvalue(t, null_values):
     if one_column:
         null, t = null[:, None], t[..., None]
     below = np.zeros(t.shape, dtype=np.intp)
-    _count_below(t, null, below)
+    scratch = np.empty((min(len(null), _DRAW_CHUNK), null.shape[1]))
+    for lo in range(0, len(null), _DRAW_CHUNK):
+        rows = scratch[:len(null) - lo]
+        rows[:] = null[lo:lo + len(rows)]
+        _count_below(t, rows, below)
     if one_column:
         below = below[..., 0]
     return _add_one(below, null.shape[0])
@@ -327,8 +343,11 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 # Iterations per ``_null_chunk``, drawn by one ``_resample_range`` call: its
 # temporaries, a few ``(chunk, S + 2)`` integer arrays, stay small whatever
-# ``m`` is.  It divides 2**32, so no chunk holds iterations on both sides of 2**32.
-_DRAW_CHUNK = 1024
+# ``m`` is.  It is also the most rows ``_count_below`` sorts at once, the
+# ``(chunk, P)`` buffer of a scored bootstrap's worker and the scratch of
+# ``empirical_pvalue``: 2.2 MB at n=33 (P=528) and 20.3 MB at n=100.
+# It divides 2**32, so no chunk holds iterations on both sides of 2**32.
+_DRAW_CHUNK = 512
 
 
 def _seed_pool(entropy: list) -> list:
@@ -649,7 +668,8 @@ def _bootstrap(model: GroupModel, seed: int, m: int, abs_t=None):
     written into its own rows.  With ``abs_t``, the ``(k, P)`` magnitudes
     of the subjects' statistics, it is how many null values lie below
     each, counted chunk by chunk in one reused ``(_DRAW_CHUNK, P)``
-    buffer, so the null is never stored.
+    buffer, which ``_count_below`` sorts in place, so the null is never
+    stored.
 
     The iterations are split into ``_worker_count(m)`` contiguous ranges
     of ``k``.  This process runs the first range and forks a child for
@@ -817,8 +837,9 @@ def score_stack(model: GroupModel, stack: np.ndarray, m: int, seed: int) -> Subj
     ``m``, ``seed`` and the stack.  The subjects' statistics come before
     the bootstrap, and a NaN among them raises ``InvalidInputError`` there.
     Each chunk of null rows is then written into one reused
-    ``(min(m, _DRAW_CHUNK), P)`` buffer, and its exceedances are added into
-    a ``(k, P)`` integer count, one buffer and one count per worker, so
+    ``(min(m, _DRAW_CHUNK), P)`` buffer, which ``_count_below`` sorts in
+    place as it adds the chunk's exceedances into a ``(k, P)`` integer
+    count, one buffer and one count per worker, so
     memory is ``O(k P + chunk P)`` per worker however large ``m`` is.  A
     non-finite null row raises ``InvalidInputError`` as
     ``empirical_pvalue`` does.

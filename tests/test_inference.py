@@ -36,7 +36,7 @@ from spdconn import (
 from spdconn import group, inference
 from spdconn.group import fit_stack
 from spdconn.inference import (
-    _DRAW_CHUNK, _FLAT_BLOCK, _PVALUE_BLOCK, SD_FLOOR, _null_chunk, _refit_row, _resample_range,
+    _DRAW_CHUNK, _FLAT_BLOCK, SD_FLOOR, _null_chunk, _refit_row, _resample_range,
     _resamples, _statistics, _t_rows, bonferroni_floor, check_alpha, degenerate_floor, score_subjects,
 )
 from golden import CASES, case_inputs
@@ -187,13 +187,13 @@ class TestEmpiricalPvalue:
             empirical_pvalue(np.zeros(3), null)
 
     @pytest.mark.parametrize(
-        "P", [1, _PVALUE_BLOCK - 1, _PVALUE_BLOCK, _PVALUE_BLOCK + 1, 2 * _PVALUE_BLOCK + 3]
+        "m", [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 3]
     )
-    def test_column_blocks_match_the_dense_count(self, rng, P):
-        m = 40
+    def test_row_slices_match_the_dense_count(self, rng, m):
+        P = 5
         null = np.round(rng.standard_normal((m, P)), 1)  # one decimal: many ties
         t = np.stack([
-            null[3], -null[17], np.round(rng.standard_normal(P), 1),
+            null[m // 2], -null[-1], np.round(rng.standard_normal(P), 1),
             np.full(P, np.inf), np.full(P, -np.inf),
         ])
         dense = (1.0 + (np.abs(null) >= np.abs(t[:, None, :])).sum(axis=1)) / (m + 1)
@@ -219,12 +219,24 @@ class TestEmpiricalPvalue:
             assert str(err.value) == f"null values have shape {null_shape}, expected (m,) or (m, P)"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_null_in_the_last_block_raises(self, bad):
-        P = 2 * _PVALUE_BLOCK + 3
-        null = np.linspace(-3.0, 3.0, 10 * P).reshape(10, P)
-        null[6, P - 1] = bad
+    def test_non_finite_null_in_the_last_slice_raises(self, bad):
+        m, P = 2 * _DRAW_CHUNK + 3, 3
+        null = np.linspace(-3.0, 3.0, m * P).reshape(m, P)
+        null[m - 2, P - 1] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
             empirical_pvalue(np.zeros(P), null)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            empirical_pvalue(0.0, null[:, P - 1])
+
+    @pytest.mark.parametrize("shape", [(2 * _DRAW_CHUNK + 3,), (2 * _DRAW_CHUNK + 3, 4)])
+    def test_leaves_the_null_unchanged(self, rng, shape):
+        # the counting kernel sorts the rows it is given: they are copies
+        null = rng.standard_normal(shape)
+        before = null.tobytes()
+        t = rng.standard_normal((3, *shape[1:]))
+        dense = (1.0 + (np.abs(null) >= np.abs(t[:, None])).sum(axis=1)) / (shape[0] + 1)
+        assert np.array_equal(empirical_pvalue(t, null), dense)
+        assert null.tobytes() == before
 
 
 class TestBuildNull:
@@ -388,11 +400,11 @@ class TestBuildNull:
     @pytest.mark.usefixtures("one_worker")
     def test_abort_names_the_global_iteration(self, two_chunk_mats, monkeypatch):
         m, seed, k = _DRAW_CHUNK + 10, 5, _DRAW_CHUNK + 5
-        retry_cap = 105  # ceil(0.1 m) + 1
+        retry_cap = math.ceil(0.1 * m) + 1
         refits = failing_refits(
             monkeypatch, first_draws(len(two_chunk_mats), seed, [k], attempts=retry_cap)
         )
-        with pytest.raises(ConvergenceError, match=f"iteration {k} failed 105 times in a row"):
+        with pytest.raises(ConvergenceError, match=f"iteration {k} failed {retry_cap} times in a row"):
             build_null(two_chunk_mats, m=m, seed=seed)
         assert len(refits) == retry_cap
 
@@ -803,6 +815,23 @@ class TestFlatNull:
             tracemalloc.stop()
         assert peak <= 20_058_556
 
+    @pytest.mark.usefixtures("one_worker")
+    def test_memory_of_a_scored_flat_null(self):
+        # The roc_flat workload's scoring, m = 4 chunks, one worker.  With
+        # 1024-row chunks counted into separately sorted column blocks it
+        # peaked at 6,918,587 traced bytes (numpy 2.4.6); 512-row chunks
+        # sorted in place by the count, at 4,423,118.
+        cfg = SimConfig(n=33, n_controls=20, sigma=0.1, k_diffs=20, d_sigma=0.2, seed=1)
+        controls, _ = sample_population(cfg)
+        subjects, _ = sample_population(cfg, rng=np.random.default_rng(2), size=20)
+        tracemalloc.start()
+        try:
+            score_subjects(controls, subjects, 4 * _DRAW_CHUNK, 0, parametrization="flat")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_450_000
+
 
 class TestTestPatient:
     def test_report_contract(self, control_mats):
@@ -817,6 +846,13 @@ class TestTestPatient:
             assert np.isclose(p.p_corrected, min(1.0, p.p_raw * n_pairs))
             assert p.direction in (-1, 0, 1)
             assert p.direction == np.sign(p.t)
+
+    def test_leaves_the_null_unchanged(self, control_mats):
+        null = build_null(control_mats, m=2 * _DRAW_CHUNK + 3, seed=1, parametrization="flat")
+        before = null.values.tobytes()
+        first = test_patient(control_mats[0], null)
+        assert null.values.tobytes() == before
+        assert test_patient(control_mats[0], null) == first
 
     def test_pair_count_scales_as_n_choose_2(self):
         cfg = SimConfig(n=33, n_controls=6, sigma=0.05, seed=2)

@@ -1025,6 +1025,45 @@ def test_out_that_names_an_input_fails_before_any_work(demo, tmp_path, monkeypat
     assert Path(target).read_bytes() == before
 
 
+@pytest.mark.parametrize("dotted", [False, True], ids=["same", "dotted"])
+@pytest.mark.parametrize("command, flag", [("fit", "--controls"), ("test", "--controls"), ("test", "--patient")])
+def test_input_given_twice_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command, flag, dotted):
+    # a control fitted twice, or a patient that is one of the controls,
+    # would be scored against a null and a statistic fitted to itself
+    from spdconn import group, inference
+
+    fits = []
+    for module in (cli, group, inference):
+        monkeypatch.setattr(module, "fit_stack", lambda *args, **kwargs: fits.append(args))
+    reads = []
+    read = sio.read_time_series
+    monkeypatch.setattr(sio, "read_time_series", lambda path: reads.append(path) or read(path))
+    controls, patient, out = demo["controls"], demo["patient"], str(tmp_path / "out")
+    first = controls[1]
+    again = os.path.join(os.path.dirname(first), ".", os.path.basename(first)) if dotted else first
+    if flag == "--controls":
+        controls = [*controls, again]
+    else:
+        patient = again
+    argv = {
+        "fit": ["fit", "--controls", *controls, "--out", out],
+        "test": ["test", "--controls", *controls, "--patient", patient, "--m", "5", "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} {again}: it is also given as --controls {first}\n"
+    assert fits == [] and reads == []
+    assert not Path(out).exists()
+
+
+def test_fit_takes_one_confound_file_for_every_control(demo, tmp_path, capsys):
+    confound = tmp_path / "drift.csv"
+    confound.write_text("drift\n" + "".join(f"{v}.0\n" for v in range(60)))
+    controls, out = demo["controls"], tmp_path / "model.json"
+    argv = ["fit", "--controls", *controls, "--confounds", *[str(confound)] * len(controls), "--out", str(out)]
+    assert main(argv) == 0
+    assert f"subjects: {len(controls)}" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["fit", "test", "simulate"])
 def test_outputs_take_the_umask(demo, tmp_path, capsys, command):
     # written as open() writes: 0o666 less the umask, not mkstemp's 0o600

@@ -1,8 +1,9 @@
 """No module of the package uses another module's private names, only
 ``geometry`` calls numpy's symmetric eigensolvers, ``inference`` runs no
-generator of ``numpy.random``, draws bootstrap chunks in one place, seeds
-each bootstrap stream once, runs one bootstrap loop with one abort, takes
-the bootstrap's controls from the fitted model only, computes the
+generator of ``numpy.random``, draws bootstrap chunks in one place, counts
+exceedances in one kernel, seeds each bootstrap stream once, runs one
+bootstrap loop with one abort, takes the bootstrap's controls from the
+fitted model only, computes the
 statistic in one function, checks a control group in one place, subjects
 are paired with the controls in one place, matrices are checked in one
 place, only the bootstrap forks, its workers send nothing through a pickle
@@ -177,6 +178,25 @@ def test_one_draw_loop_in_inference():
     assert len(call_sites((PACKAGE / "inference.py").read_text(), "_resample_range")) == 1
 
 
+def functions(source: str) -> dict[str, str]:
+    """The source of each top-level function of ``source``, by name."""
+    return {node.name: ast.get_source_segment(source, node)
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_counting_kernel_in_inference():
+    # a stored null's slices and the bootstrap's chunks are counted by
+    # _count_below alone, so both p-values come from one search
+    source = (PACKAGE / "inference.py").read_text()
+    assert len(call_sites(source, "_count_below")) == 2
+    callers = [name for name, text in functions(source).items() if call_sites(text, "_count_below")]
+    assert callers == ["empirical_pvalue", "_bootstrap"]
+    searches = [node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and node.attr == "searchsorted"
+                or isinstance(node, ast.Name) and node.id == "searchsorted"]
+    assert searches == []
+
+
 def test_flat_blocks_never_straddle_a_chunk():
     # the flat null draws whole blocks aligned to multiples of _FLAT_BLOCK
     # in k: such a block lies inside one draw chunk and on one side of 2**32,
@@ -185,6 +205,7 @@ def test_flat_blocks_never_straddle_a_chunk():
 
     assert _DRAW_CHUNK % _FLAT_BLOCK == 0
     assert 2**32 % _FLAT_BLOCK == 0
+    assert 2**32 % _DRAW_CHUNK == 0
 
 
 def test_each_stream_is_one_generator():
@@ -192,11 +213,10 @@ def test_each_stream_is_one_generator():
     # _resamples reads all of one row's: a third caller, or a _stream_words
     # that restarts a stream, would compute its values again
     source = (PACKAGE / "inference.py").read_text()
-    functions = {node.name: ast.get_source_segment(source, node)
-                 for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    assert "_stream_words" not in functions
+    defined = functions(source)
+    assert "_stream_words" not in defined
     assert len(call_sites(source, "_streams")) == 2
-    callers = [name for name, text in functions.items() if call_sites(text, "_streams")]
+    callers = [name for name, text in defined.items() if call_sites(text, "_streams")]
     assert callers == ["_resample_range", "_resamples"]
 
 
