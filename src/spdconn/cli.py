@@ -43,12 +43,15 @@ _ERRORS = (SpdconnError, OSError)
 
 
 def _load_series(paths, confound_paths=None):
+    """Read the time series at ``paths``, each residualized on the series
+    at the matching ``confound_paths`` where those are given; a count of
+    confound files other than that of ``paths`` is refused before any read."""
+    if confound_paths and len(confound_paths) != len(paths):
+        raise InvalidInputError(
+            f"{len(confound_paths)} confound files for {len(paths)} subjects"
+        )
     series = [sio.read_time_series(p) for p in paths]
     if confound_paths:
-        if len(confound_paths) != len(paths):
-            raise InvalidInputError(
-                f"{len(confound_paths)} confound files for {len(paths)} subjects"
-            )
         series = [
             residualize_confounds(ts, sio.read_time_series(cp).values)
             for ts, cp in zip(series, confound_paths)
@@ -168,6 +171,8 @@ def cmd_likelihood(args) -> int:
     if args.loo:
         if not args.controls:
             raise InvalidInputError("--loo requires --controls")
+        _check_distinct([*(("--controls", path) for path in args.controls),
+                         *(("subject", path) for path in args.subjects)])
         controls = _load_series(args.controls)
         others = _load_series(args.subjects) if args.subjects else []
         control_scores, other_scores = leave_one_out_scores(

@@ -34,9 +34,11 @@ hands the model and the subjects' stack to it.
 
 The iterations run on every usable core that BLAS leaves free: where the
 environment pins BLAS to fewer threads than there are cores, contiguous
-ranges of ``k`` run in forked children (``_worker_count``), with the same
-rows, counts and errors as one process: a range that raised in its child
-runs again in the calling process, which raises its error there.
+ranges of ``k`` run in forked children (``_worker_count``), one child per
+range, with the same rows, counts and errors as one process.  The calling
+process then runs no range: it only forks, reaps and sums, so no worker's
+arrays sit on top of what it already holds.  A range that raised in its
+child runs again in the calling process, which raises its error there.
 """
 
 from __future__ import annotations
@@ -672,8 +674,10 @@ def _bootstrap(model: GroupModel, seed: int, m: int, abs_t=None):
     stored.
 
     The iterations are split into ``_worker_count(m)`` contiguous ranges
-    of ``k``.  This process runs the first range and forks a child for
-    each other one.  Every range runs ``_null_chunk`` by ``_null_chunk``,
+    of ``k``.  One range runs here and forks nothing; two or more each run
+    in a forked child, and this process runs none of them, so it holds no
+    range's buffer or work arrays on top of its own memory, only the
+    ``(k, P)`` counts.  Every range runs ``_null_chunk`` by ``_null_chunk``,
     cut at multiples of ``_DRAW_CHUNK``, and writes its rows, its own count
     and its failure count into one shared anonymous map; rows depend only
     on ``seed`` and ``k`` and counts are integers, so the result is the
@@ -710,9 +714,10 @@ def _bootstrap(model: GroupModel, seed: int, m: int, abs_t=None):
             if abs_t is not None:
                 _count_below(abs_t, rows, result[rank])
 
+    forked = range(workers) if workers > 1 else range(0)  # the ranks that run in children
     children = {}  # the pids not yet reaped, by rank
     try:
-        for rank in range(1, workers):
+        for rank in forked:
             pid = os.fork()
             if pid == 0:  # the child ends here, with status 0 if its range returned
                 code = 1
@@ -722,8 +727,9 @@ def _bootstrap(model: GroupModel, seed: int, m: int, abs_t=None):
                 finally:
                     os._exit(code)  # so no exit handler of the parent's runs here
             children[rank] = pid
-        run(0)
-        for rank in range(1, workers):
+        if not forked:
+            run(0)
+        for rank in forked:
             _, status = os.waitpid(children[rank], 0)
             del children[rank]
             if os.waitstatus_to_exitcode(status) == 1:
@@ -774,8 +780,9 @@ def build_null(
     flat null is computed from each resample's coordinates without a fit
     per iteration; its rows equal the per-iteration refits' statistics up
     to rounding.  One loop fills both nulls in place, ``_null_chunk`` by
-    ``_null_chunk``, split over ``_worker_count(m)`` processes; the retry
-    cap and the 10% abort count over the run.
+    ``_null_chunk``, split over ``_worker_count(m)`` ranges, each in a
+    forked child when there are two or more, while the calling process
+    only waits; the retry cap and the 10% abort count over the run.
     The result holds all ``m`` rows; ``score_subjects`` scores subjects
     from the same rows without storing them.
 

@@ -1026,10 +1026,14 @@ def test_out_that_names_an_input_fails_before_any_work(demo, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("dotted", [False, True], ids=["same", "dotted"])
-@pytest.mark.parametrize("command, flag", [("fit", "--controls"), ("test", "--controls"), ("test", "--patient")])
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--controls"), ("test", "--controls"), ("test", "--patient"),
+    ("likelihood", "--controls"), ("likelihood", "subject"),
+])
 def test_input_given_twice_fails_before_any_work(demo, tmp_path, monkeypatch, capsys, command, flag, dotted):
     # a control fitted twice, or a patient that is one of the controls,
-    # would be scored against a null and a statistic fitted to itself
+    # would be scored against a null and a statistic fitted to itself; a
+    # control listed twice for --loo is left out once and still fitted once
     from spdconn import group, inference
 
     fits = []
@@ -1048,11 +1052,24 @@ def test_input_given_twice_fails_before_any_work(demo, tmp_path, monkeypatch, ca
     argv = {
         "fit": ["fit", "--controls", *controls, "--out", out],
         "test": ["test", "--controls", *controls, "--patient", patient, "--m", "5", "--out", out],
+        "likelihood": ["likelihood", patient, "--loo", "--controls", *controls],
     }[command]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {flag} {again}: it is also given as --controls {first}\n"
+    assert capsys.readouterr() == ("", f"error: {flag} {again}: it is also given as --controls {first}\n")
     assert fits == [] and reads == []
     assert not Path(out).exists()
+
+
+def test_confound_count_is_checked_before_any_read(demo, tmp_path, monkeypatch, capsys):
+    # the count is known from the arguments: no control is parsed, and a
+    # missing one is not what the error names
+    reads = []
+    monkeypatch.setattr(sio, "read_time_series", lambda path: reads.append(path))
+    controls = [*demo["controls"][:2], str(tmp_path / "missing.csv")]
+    argv = ["fit", "--controls", *controls, "--confounds", demo["controls"][2], "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    assert reads == []
+    assert capsys.readouterr().err == "error: 1 confound files for 3 subjects\n"
 
 
 def test_fit_takes_one_confound_file_for_every_control(demo, tmp_path, capsys):
